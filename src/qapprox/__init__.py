@@ -7,7 +7,6 @@ from .qcore import (  # noqa: F401
     DEFAULT_POLICY,
     NumericError,
     QApproxError,
-    QParam,
     SeriesLimitError,
     TruncationPolicy,
     jackson_integral,

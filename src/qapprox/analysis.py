@@ -40,7 +40,7 @@ DEFAULT_GRID = GridSpec()
 
 
 def _values(f, xs):
-    vals = np.array([f(x) for x in xs], dtype=float)
+    vals = np.broadcast_to(np.asarray(f(xs), dtype=float), xs.shape)
     if not np.all(np.isfinite(vals)):
         raise NumericError("function produced non-finite values on the grid")
     return vals
@@ -92,11 +92,11 @@ def rate_experiment(f, q, stancu, n_list, grid=DEFAULT_GRID, policy=DEFAULT_POLI
         raise ValueError("n_list must be increasing")
     xs = grid.xs
     limit_spec = OperatorSpec(INFINITE, qv, stancu, policy)
-    limit_vals = durrmeyer.apply_limit_grid(limit_spec, f, xs)
+    limit_vals = durrmeyer.apply_limit(limit_spec, f, xs)
     report = RateReport()
     for n in n_list:
         spec = OperatorSpec(n, qv, stancu, policy)
-        finite_vals = durrmeyer.apply_finite_grid(spec, f, xs)
+        finite_vals = durrmeyer.apply_finite(spec, f, xs)
         sup_diff = float(np.max(np.abs(finite_vals - limit_vals)))
         omega = modulus_of_continuity(f, qv**n, grid)
         ratio = sup_diff / omega if omega > 0 else float("nan")
@@ -114,7 +114,7 @@ def q_to_one_experiment(f, stancu, q_list, grid=DEFAULT_GRID, policy=DEFAULT_POL
     out = []
     for qv in q_list:
         spec = OperatorSpec(INFINITE, qv, stancu, policy)
-        vals = durrmeyer.apply_limit_grid(spec, f, xs)
+        vals = durrmeyer.apply_limit(spec, f, xs)
         out.append((qv, float(np.max(np.abs(vals - f_vals)))))
     return out
 
@@ -123,7 +123,7 @@ def fixed_point_check(f, q, stancu, grid=DEFAULT_GRID, policy=DEFAULT_POLICY):
     """||D_inf f - f||_grid; zero exactly for constants and only for them."""
     spec = OperatorSpec(INFINITE, as_q(q), stancu, policy)
     xs = grid.xs
-    vals = durrmeyer.apply_limit_grid(spec, f, xs)
+    vals = durrmeyer.apply_limit(spec, f, xs)
     return float(np.max(np.abs(vals - _values(f, xs))))
 
 

@@ -7,6 +7,7 @@ their ratios do.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,34 +45,28 @@ class BasisPoint:
             raise ValueError("n must be nonnegative")
 
 
-_euler_cache = {}
-
-
-def _euler_table(q):
-    """Prefix log-products logc[k] = log prod_{i=1}^{k} (1 - q^i).
+@lru_cache(maxsize=128)
+def _euler_table(qv):
+    """Prefix log-products logc[k] = log prod_{i=1}^{k} (1 - q^i), read-only.
 
     The sequence converges; entries past the convergence index reuse the
     limiting value.  Returns (logc array, log of the infinite product).
     """
-    qv = as_q(q)
-    cached = _euler_cache.get(qv)
-    if cached is not None:
-        return cached
     if qv >= 1.0:
         raise ValueError("Euler product requires q < 1")
     i_max = max(4, int(math.ceil(math.log(1e-18) / math.log(qv))) + 2)
     logs = np.log1p(-(qv ** np.arange(1, i_max + 1)))
     logc = np.concatenate(([0.0], np.cumsum(logs)))
-    table = (logc, float(logc[-1]))
-    _euler_cache[qv] = table
-    return table
+    logc.flags.writeable = False
+    return logc, float(logc[-1])
 
 
-def _log_c(q, k):
-    logc, logc_inf = _euler_table(q)
-    if k < len(logc):
-        return float(logc[k])
-    return logc_inf
+def _log_c_row(qv, K):
+    """log c_k = log prod_{i=1}^{k} (1 - q^i) for k = 0..K."""
+    logc, logc_inf = _euler_table(qv)
+    if K < len(logc):
+        return logc[: K + 1]
+    return np.concatenate((logc, np.full(K + 1 - len(logc), logc_inf)))
 
 
 def bernstein_basis(n, k, q, x):
@@ -81,36 +76,57 @@ def bernstein_basis(n, k, q, x):
     return float(basis_row(n, q, x)[k])
 
 
-def basis_row(n, q, x):
-    """All p_{nk}(q;x), k = 0..n, sharing one cumulative q-Pochhammer pass."""
+def basis_matrix(n, q, xs):
+    """Rows p_{nk}(q;x), k = 0..n, one per x of xs, built from cumulative
+    products along k of the powers x^k and the q-Pochhammer (1-x)_q^m."""
     qv = as_q(q)
-    if not (0.0 <= x <= 1.0):
+    xs = np.asarray(xs, dtype=float)
+    if not np.all((xs >= 0.0) & (xs <= 1.0)):
         raise ValueError("x must lie in [0, 1]")
-    binom = q_binomial_row(n, qv)
-    powers = np.concatenate(([1.0], np.cumprod(np.full(n, x)))) if n else np.array([1.0])
-    # poch[m] = (1-x)_q^m
-    if n:
-        factors = 1.0 - (qv ** np.arange(n)) * x
-        poch = np.concatenate(([1.0], np.cumprod(factors)))
-    else:
-        poch = np.array([1.0])
-    return binom * powers * poch[::-1]
+    col = xs[:, None]
+    powers = np.ones((len(xs), n + 1))
+    poch = np.ones((len(xs), n + 1))
+    np.cumprod(np.broadcast_to(col, (len(xs), n)), axis=1, out=powers[:, 1:])
+    np.cumprod(1.0 - (qv ** np.arange(n)) * col, axis=1, out=poch[:, 1:])
+    return q_binomial_row(n, qv) * powers * poch[:, ::-1]
 
 
-def log_limit_basis(k, q, x, policy=DEFAULT_POLICY):
-    """log p_{inf,k}(q;x) for x in (0,1); -inf where the basis vanishes."""
+def basis_row(n, q, x):
+    """All p_{nk}(q;x), k = 0..n, at one x."""
+    return basis_matrix(n, q, [x])[0]
+
+
+def log_limit_row(q, x, K=None, policy=DEFAULT_POLICY):
+    """log p_{inf,k}(q;x) for k = 0..K at one x in [0, 1]; -inf where the basis vanishes.
+
+    log p_{inf,k} = k log x + log (x;q)_inf - log c_k.  For x < 1, K defaults
+    to the truncation index of the limit series at x: the smallest K past
+    which every basis value is below rel_eps.
+    """
     qv = as_q(q)
     if qv == 1.0:
         raise ValueError("the limit basis requires q < 1")
+    if not (0.0 <= x <= 1.0):
+        raise ValueError("x must lie in [0, 1]")
+    if x == 0.0:  # p_{inf,k}(q;0) = [k = 0]
+        row = np.full(1 if K is None else K + 1, -math.inf)
+        row[0] = 0.0
+        return row
+    log_pi = log_q_pochhammer_inf(x, qv, policy)  # -inf at x = 1, where the s = 0 factor vanishes
+    log_x = math.log(x)
+    if K is None:
+        k = (math.log(policy.rel_eps) - 2.0 - log_pi + _euler_table(qv)[1]) / log_x
+        K = max(8, int(math.ceil(k)))
+        if K > policy.max_terms:
+            raise SeriesLimitError("limit operator k-series exceeds max_terms")
+    return np.arange(K + 1) * log_x + log_pi - _log_c_row(qv, K)
+
+
+def log_limit_basis(k, q, x, policy=DEFAULT_POLICY):
+    """log p_{inf,k}(q;x) for x in [0,1]; -inf where the basis vanishes."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if x == 0.0:
-        return 0.0 if k == 0 else -math.inf
-    if x == 1.0:
-        # the s=0 factor of the infinite product is exactly zero
-        return -math.inf
-    log_pi = log_q_pochhammer_inf(x, qv, policy)
-    return k * math.log(x) + log_pi - _log_c(qv, k)
+    return float(log_limit_row(q, x, k, policy)[k])
 
 
 def limit_basis(k, q, x, policy=DEFAULT_POLICY):
@@ -126,24 +142,6 @@ def limit_basis_identity_sums(q, x, policy=DEFAULT_POLICY):
     qv = as_q(q)
     if not (0.0 <= x < 1.0):
         raise ValueError("identity sums require x in [0, 1)")
-    if x == 0.0:
-        return 1.0, 0.0, 0.0
-    log_pi = log_q_pochhammer_inf(x, qv, policy)
-    log_x = math.log(x)
-    s0 = s1 = s2 = 0.0
-    prev = math.inf
-    streak = 0
-    for k in range(policy.max_terms):
-        p = math.exp(k * log_x + log_pi - _log_c(qv, k))
-        w = 1.0 - qv**k
-        s0 += p
-        s1 += w * p
-        s2 += w * w * p
-        if p <= policy.rel_eps and p <= prev:
-            streak += 1
-            if streak >= 3:
-                return s0, s1, s2
-        else:
-            streak = 0
-        prev = p
-    raise SeriesLimitError("limit-basis sum exceeded max_terms")
+    p = np.exp(log_limit_row(qv, x, policy=policy))
+    w = 1.0 - qv ** np.arange(len(p))
+    return float(np.sum(p)), float(w @ p), float((w * w) @ p)

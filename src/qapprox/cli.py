@@ -31,10 +31,6 @@ def _parse_float_list(text):
     return [float(part) for part in text.split(",") if part]
 
 
-def _policy(rel_eps, max_terms):
-    return TruncationPolicy(rel_eps=rel_eps, max_terms=max_terms)
-
-
 def _write(out, fmt, columns, rows, meta):
     with open_output(out) as stream:
         if fmt == "json":
@@ -46,6 +42,11 @@ def _write(out, fmt, columns, rows, meta):
 def _common(fn):
     fn = click.option("--out", default="-", show_default=True, help="output path ('-' = stdout)")(fn)
     fn = click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)(fn)
+    return fn
+
+
+def _series(fn):
+    """Truncation options of the commands that evaluate series."""
     fn = click.option("--rel-eps", default=DEFAULT_POLICY.rel_eps, show_default=True)(fn)
     fn = click.option(
         "--max-terms",
@@ -62,7 +63,7 @@ def main():
     """q-Durrmeyer-Stancu operator experiments."""
 
 
-def _run(meta, compute):
+def _run(compute):
     """Validate/compute, mapping numeric failures to exit code 3."""
     try:
         return compute()
@@ -82,6 +83,7 @@ def _run(meta, compute):
 @click.option("--f", "fsrc", required=True, help="builtin name or expression in t")
 @click.option("--grid", "grid_points", type=int, default=1001, show_default=True)
 @_common
+@_series
 def cmd_eval(n, use_limit, q, varpi, vartheta, fsrc, grid_points, out, fmt, rel_eps, max_terms):
     """Evaluate the operator on a uniform grid: rows (x, value)."""
     if (n is None) == (not use_limit):
@@ -94,27 +96,24 @@ def cmd_eval(n, use_limit, q, varpi, vartheta, fsrc, grid_points, out, fmt, rel_
 
     def compute():
         f = funcreg.resolve(fsrc)
-        policy = _policy(rel_eps, max_terms)
+        policy = TruncationPolicy(rel_eps, max_terms)
         stancu = durrmeyer.StancuParams(varpi, vartheta)
         spec = durrmeyer.OperatorSpec(INFINITE if use_limit else n, q, stancu, policy)
         xs = analysis.GridSpec(grid_points).xs
-        if use_limit:
-            vals = durrmeyer.apply_limit_grid(spec, f, xs)
-        else:
-            vals = durrmeyer.apply_finite_grid(spec, f, xs)
+        vals = durrmeyer.apply(spec, f, xs)
         return [(float(x), float(v)) for x, v in zip(xs, vals)]
 
-    rows = _run(meta, compute)
+    rows = _run(compute)
     _write(out, fmt, ("x", "value"), rows, meta)
 
 
 @main.command("moments-verify")
 @click.option("--tol", default=1e-9, show_default=True, help="max allowed abs deviation")
 @_common
-def cmd_moments_verify(tol, out, fmt, rel_eps, max_terms):
+def cmd_moments_verify(tol, out, fmt):
     """Compare closed-form moments against the operator series path."""
-    meta = {"command": "moments-verify", "tol": tol, "rel_eps": rel_eps, "max_terms": max_terms}
-    report = _run(meta, moments.verify_moments)
+    meta = {"command": "moments-verify", "tol": tol}
+    report = _run(moments.verify_moments)
     with open_output(out) as stream:
         if fmt == "json":
             report.to_json(stream, meta=meta)
@@ -133,6 +132,7 @@ def cmd_moments_verify(tol, out, fmt, rel_eps, max_terms):
 @click.option("--n-list", default="5..40", show_default=True)
 @click.option("--grid", "grid_points", type=int, default=1001, show_default=True)
 @_common
+@_series
 def cmd_rate(fsrc, q, varpi, vartheta, n_list, grid_points, out, fmt, rel_eps, max_terms):
     """Finite-vs-limit convergence rows (n, sup_diff, omega, ratio)."""
     meta = {
@@ -144,14 +144,14 @@ def cmd_rate(fsrc, q, varpi, vartheta, n_list, grid_points, out, fmt, rel_eps, m
         f = funcreg.resolve(fsrc)
         report = analysis.rate_experiment(
             f, q, durrmeyer.StancuParams(varpi, vartheta), _parse_int_list(n_list),
-            analysis.GridSpec(grid_points), _policy(rel_eps, max_terms),
+            analysis.GridSpec(grid_points), TruncationPolicy(rel_eps, max_terms),
         )
         return [
             (n, q, varpi, vartheta, sup_diff, omega, ratio)
             for (n, sup_diff, omega, ratio) in report.rows
         ]
 
-    rows = _run(meta, compute)
+    rows = _run(compute)
     _write(out, fmt, ("n", "q", "varpi", "vartheta", "sup_diff", "omega", "ratio"), rows, meta)
 
 
@@ -162,6 +162,7 @@ def cmd_rate(fsrc, q, varpi, vartheta, n_list, grid_points, out, fmt, rel_eps, m
 @click.option("--vartheta", default=0.0, show_default=True)
 @click.option("--grid", "grid_points", type=int, default=1001, show_default=True)
 @_common
+@_series
 def cmd_q1(fsrc, q_list, varpi, vartheta, grid_points, out, fmt, rel_eps, max_terms):
     """Limit-operator error ||D_inf,q f - f|| for q increasing toward 1."""
     meta = {
@@ -173,10 +174,10 @@ def cmd_q1(fsrc, q_list, varpi, vartheta, grid_points, out, fmt, rel_eps, max_te
         f = funcreg.resolve(fsrc)
         return analysis.q_to_one_experiment(
             f, durrmeyer.StancuParams(varpi, vartheta), _parse_float_list(q_list),
-            analysis.GridSpec(grid_points), _policy(rel_eps, max_terms),
+            analysis.GridSpec(grid_points), TruncationPolicy(rel_eps, max_terms),
         )
 
-    rows = _run(meta, compute)
+    rows = _run(compute)
     _write(out, fmt, ("q", "sup_diff"), rows, meta)
 
 
@@ -187,6 +188,7 @@ def cmd_q1(fsrc, q_list, varpi, vartheta, grid_points, out, fmt, rel_eps, max_te
 @click.option("--vartheta", default=0.0, show_default=True)
 @click.option("--grid", "grid_points", type=int, default=1001, show_default=True)
 @_common
+@_series
 def cmd_fixed(fsrc, q, varpi, vartheta, grid_points, out, fmt, rel_eps, max_terms):
     """Fixed-point distance ||D_inf f - f|| (zero iff f is constant)."""
     meta = {
@@ -198,11 +200,11 @@ def cmd_fixed(fsrc, q, varpi, vartheta, grid_points, out, fmt, rel_eps, max_term
         f = funcreg.resolve(fsrc)
         value = analysis.fixed_point_check(
             f, q, durrmeyer.StancuParams(varpi, vartheta),
-            analysis.GridSpec(grid_points), _policy(rel_eps, max_terms),
+            analysis.GridSpec(grid_points), TruncationPolicy(rel_eps, max_terms),
         )
         return [(q, varpi, vartheta, value)]
 
-    rows = _run(meta, compute)
+    rows = _run(compute)
     _write(out, fmt, ("q", "varpi", "vartheta", "sup_diff"), rows, meta)
 
 
@@ -212,6 +214,7 @@ def cmd_fixed(fsrc, q, varpi, vartheta, grid_points, out, fmt, rel_eps, max_term
 @click.option("--grid", "grid_points", type=int, default=101, show_default=True)
 @click.option("--tol", default=1e-12, show_default=True)
 @_common
+@_series
 def cmd_ineq(n, q, grid_points, tol, out, fmt, rel_eps, max_terms):
     """Max violation of the finite/limit basis domination inequality."""
     meta = {
@@ -221,11 +224,11 @@ def cmd_ineq(n, q, grid_points, tol, out, fmt, rel_eps, max_terms):
 
     def compute():
         value = analysis.basis_inequality_check(
-            n, q, analysis.GridSpec(grid_points), _policy(rel_eps, max_terms)
+            n, q, analysis.GridSpec(grid_points), TruncationPolicy(rel_eps, max_terms)
         )
         return [(n, q, value)]
 
-    rows = _run(meta, compute)
+    rows = _run(compute)
     _write(out, fmt, ("n", "q", "max_violation"), rows, meta)
     if rows[0][2] > tol:
         click.echo(f"max violation {rows[0][2]:g} exceeds tol {tol:g}", err=True)
@@ -271,12 +274,9 @@ def _index_set(text):
 @click.option("--gamma", default=1.0, show_default=True)
 @click.option("--n", "n_text", default="10000", show_default=True, help="n or comma list")
 @_common
-def cmd_density(set_name, gamma, n_text, out, fmt, rel_eps, max_terms):
+def cmd_density(set_name, gamma, n_text, out, fmt):
     """Empirical alpha-beta density of a builtin index set (alpha=1, beta=n)."""
-    meta = {
-        "command": "density", "set": set_name, "gamma": gamma, "n": n_text,
-        "rel_eps": rel_eps, "max_terms": max_terms,
-    }
+    meta = {"command": "density", "set": set_name, "gamma": gamma, "n": n_text}
     members = _index_set(set_name)
 
     def compute():
@@ -287,7 +287,7 @@ def cmd_density(set_name, gamma, n_text, out, fmt, rel_eps, max_terms):
             rows.append((n, win.start, win.stop - 1, gamma, statconv.empirical_density(query, n)))
         return rows
 
-    rows = _run(meta, compute)
+    rows = _run(compute)
     _write(out, fmt, ("n", "window_lo", "window_hi", "gamma", "value"), rows, meta)
 
 
@@ -300,12 +300,11 @@ def cmd_density(set_name, gamma, n_text, out, fmt, rel_eps, max_terms):
 @click.option("--gamma", default=1.0, show_default=True)
 @click.option("--eps-list", default="", help="comma list of density thresholds")
 @_common
-def cmd_korovkin(a, n_list, varpi, vartheta, grid_points, gamma, eps_list, out, fmt, rel_eps, max_terms):
+def cmd_korovkin(a, n_list, varpi, vartheta, grid_points, gamma, eps_list, out, fmt):
     """Monomial sup-errors of D_{n,q_n} plus density trajectories."""
     meta = {
         "command": "korovkin", "a": a, "n_list": n_list, "varpi": varpi,
-        "vartheta": vartheta, "grid": grid_points, "gamma": gamma,
-        "eps_list": eps_list, "rel_eps": rel_eps, "max_terms": max_terms,
+        "vartheta": vartheta, "grid": grid_points, "gamma": gamma, "eps_list": eps_list,
     }
 
     def compute():
@@ -319,7 +318,7 @@ def cmd_korovkin(a, n_list, varpi, vartheta, grid_points, gamma, eps_list, out, 
         )
         return report.columns(), report.rows()
 
-    columns, rows = _run(meta, compute)
+    columns, rows = _run(compute)
     _write(out, fmt, columns, rows, meta)
 
 

@@ -31,15 +31,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy import integrate
 
 from . import basis
 from .qcore import (
     DEFAULT_POLICY,
+    NumericError,
     SeriesLimitError,
     TruncationPolicy,
     as_q,
     jackson_integral,
-    q_binomial_row,
     q_integer,
 )
 
@@ -81,22 +82,37 @@ class OperatorSpec:
         return self.n is basis.INFINITE
 
 
-def _clamp01(u):
-    return 0.0 if u < 0.0 else (1.0 if u > 1.0 else u)
-
-
 def finite_inner(spec, t):
-    """([n]_q t + varpi)/([n]_q + vartheta), clamped to [0,1]."""
+    """([n]_q t + varpi)/([n]_q + vartheta), clamped to [0,1]; t may be an array."""
     nq = q_integer(spec.n, spec.q)
-    return _clamp01((nq * t + spec.stancu.varpi) / (nq + spec.stancu.vartheta))
+    return np.clip((nq * t + spec.stancu.varpi) / (nq + spec.stancu.vartheta), 0.0, 1.0)
 
 
 def limit_inner(q, stancu, t):
-    """(t + (1-q) varpi)/(1 + (1-q) vartheta), clamped to [0,1]."""
+    """(t + (1-q) varpi)/(1 + (1-q) vartheta), clamped to [0,1]; t may be an array."""
     qv = as_q(q)
     num = t + (1.0 - qv) * stancu.varpi
     den = 1.0 + (1.0 - qv) * stancu.vartheta
-    return _clamp01(num / den)
+    return np.clip(num / den, 0.0, 1.0)
+
+
+def _at_nodes(f, u):
+    """f evaluated in one call on the node array u, broadcast to its shape."""
+    vals = np.broadcast_to(np.asarray(f(u), dtype=float), np.shape(u))
+    if not np.all(np.isfinite(vals)):
+        raise NumericError("integrand non-finite at an integration node")
+    return vals
+
+
+def _shaped(vals, x):
+    """vals in the form of x: a float for a scalar x, else an array of its shape."""
+    return float(vals[0]) if np.ndim(x) == 0 else vals.reshape(np.shape(x))
+
+
+# Rows of p_nk built and contracted at a time, on the Jackson-node side and
+# on the grid side alike; bounds the working set at about BLOCK * (n + 1) floats.
+BLOCK = 256
+BLOCK_ENTRIES = BLOCK * 1024  # (k, node) exponents of one limit-coefficient block
 
 
 # ---------------------------------------------------------------------------
@@ -126,104 +142,83 @@ def finite_coefficients(spec, f):
     n = spec.n
     qv = as_q(spec.q)
     if qv == 1.0:
-        out = np.array([coefficient_finite(spec, k, f) for k in range(n + 1)])
-        out.flags.writeable = False
-        return out
-    policy = spec.policy
-    J = int(math.ceil(math.log(policy.rel_eps) / math.log(qv))) + 3
-    if J > policy.max_terms:
-        raise SeriesLimitError("finite coefficient node count exceeds max_terms")
-    t_nodes = qv ** np.arange(J)
-    weights = (1.0 - qv) * t_nodes
-    y = qv * t_nodes
-    f_vals = np.array([f(finite_inner(spec, t)) for t in t_nodes])
-    if not np.all(np.isfinite(f_vals)):
-        raise SeriesLimitError("integrand non-finite at a Jackson node")
-    # p_{nk}(q; y_j) for all k, j: shared power/Pochhammer cumulants
-    powers = np.ones((n + 1, J))
-    for k in range(1, n + 1):
-        powers[k] = powers[k - 1] * y
-    poch = np.ones((n + 1, J))
-    for m in range(1, n + 1):
-        poch[m] = poch[m - 1] * (1.0 - qv ** (m - 1) * y)
-    binom = q_binomial_row(n, qv)
-    P = binom[:, None] * powers * poch[::-1]
-    scale = q_integer(n + 1, qv) * qv ** (-np.arange(n + 1, dtype=float))
-    out = scale * (P @ (weights * f_vals))
+        # classical integral: one adaptive rule over the vector of all k
+        def integrand(t):
+            return _at_nodes(f, finite_inner(spec, t)) * basis.basis_row(n, qv, t)
+
+        integral, _ = integrate.quad_vec(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13)
+    else:
+        policy = spec.policy
+        J = int(math.ceil(math.log(policy.rel_eps) / math.log(qv))) + 3
+        if J > policy.max_terms:
+            raise SeriesLimitError("finite coefficient node count exceeds max_terms")
+        t_nodes = qv ** np.arange(J)
+        fw = (1.0 - qv) * t_nodes * _at_nodes(f, finite_inner(spec, t_nodes))
+        integral = np.zeros(n + 1)
+        for i in range(0, J, BLOCK):
+            integral += fw[i : i + BLOCK] @ basis.basis_matrix(n, qv, qv * t_nodes[i : i + BLOCK])
+    out = q_integer(n + 1, qv) * qv ** (-np.arange(n + 1, dtype=float)) * integral
     out.flags.writeable = False
     return out
 
 
 def apply_finite(spec, f, x):
-    """D_n(f; x) = sum_k A_{nk}(f) p_{nk}(q; x)."""
+    """D_n(f; x) = sum_k A_{nk}(f) p_{nk}(q; x) at a scalar x or an array of x."""
     if spec.is_limit:
         raise ValueError("apply_finite requires a finite degree")
-    if not (0.0 <= x <= 1.0):
-        raise ValueError("x must lie in [0, 1]")
+    xs = np.asarray(x, dtype=float).ravel()  # the basis rejects x outside [0, 1]
     coeffs = finite_coefficients(spec, f)
-    return float(coeffs @ basis.basis_row(spec.n, spec.q, x))
-
-
-def apply_finite_grid(spec, f, xs):
-    coeffs = finite_coefficients(spec, f)
-    return np.array([float(coeffs @ basis.basis_row(spec.n, spec.q, x)) for x in xs])
+    out = np.empty(len(xs))
+    for i in range(0, len(xs), BLOCK):
+        out[i : i + BLOCK] = basis.basis_matrix(spec.n, spec.q, xs[i : i + BLOCK]) @ coeffs
+    return _shaped(out, x)
 
 
 # ---------------------------------------------------------------------------
 # limit operator
 # ---------------------------------------------------------------------------
 
-_limit_coeff_cache = {}
+
+@lru_cache(maxsize=512)
+def _limit_slot(spec, f):
+    """One-element holder of the longest A_k(f) array computed for (spec, f)."""
+    return [np.empty(0)]
 
 
-def _limit_node_data(q, stancu, f, policy):
-    """Jackson-node data shared by every limit coefficient of one (q, f)."""
-    qv = as_q(q)
+def limit_coefficients(spec, f, k_max):
+    """A_k(f) for k = 0..k_max, read-only; a longer cached array is reused."""
+    if not spec.is_limit:
+        raise ValueError("limit_coefficients requires the limit operator")
+    slot = _limit_slot(spec, f)
+    if len(slot[0]) > k_max:
+        return slot[0][: k_max + 1]
+    qv = as_q(spec.q)
+    policy = spec.policy
     lnq = math.log(qv)
     # node count large enough that every A_k tail is below rel_eps
     J = int(math.ceil((-math.log(policy.rel_eps) + 6.0) / (-lnq))) + 3
     if J > policy.max_terms:
         raise SeriesLimitError("limit coefficient node count exceeds max_terms")
-    logc, logc_inf = basis._euler_table(qv)
-    g = np.full(J, logc_inf)
-    m = min(J, len(logc))
-    g[:m] = logc_inf - logc[:m]  # log of prod_{i>j}(1-q^i)
     t_nodes = qv ** np.arange(J)
-    f_vals = np.array([f(limit_inner(qv, stancu, t)) for t in t_nodes])
-    if not np.all(np.isfinite(f_vals)):
-        raise SeriesLimitError("integrand non-finite at a Jackson node")
-    return lnq, J, g, f_vals, logc_inf
-
-
-def limit_coefficients(spec, f, k_max):
-    """A_k(f) for k = 0..k_max (cached and grown incrementally per (spec, f))."""
-    if not spec.is_limit:
-        raise ValueError("limit_coefficients requires the limit operator")
-    key = (spec, f)
-    entry = _limit_coeff_cache.get(key)
-    if entry is None:
-        nodes = _limit_node_data(spec.q, spec.stancu, f, spec.policy)
-        entry = [nodes, np.empty(0)]
-        _limit_coeff_cache[key] = entry
-    nodes, coeffs = entry
-    if len(coeffs) > k_max:
-        return coeffs[: k_max + 1]
-    qv = as_q(spec.q)
-    lnq, J, g, f_vals, logc_inf = nodes
+    f_vals = _at_nodes(f, limit_inner(qv, spec.stancu, t_nodes))
     js = np.arange(J, dtype=float)
-    log_eps = math.log(spec.policy.rel_eps) - 5.0
-    grown = np.empty(k_max + 1)
-    grown[: len(coeffs)] = coeffs
-    for k in range(len(coeffs), k_max + 1):
-        lck = basis._log_c(qv, k)
-        rate = (k + 1) * lnq
-        # j beyond this bound contributes exp(e_j) < rel_eps (g <= 0)
-        m = min(J, int(math.ceil((log_eps + lck) / rate)) + 1)
-        e = js[:m] * rate + g[:m] - lck
-        grown[k] = float(np.exp(e) @ f_vals[:m])
-    grown.flags.writeable = False
-    entry[1] = grown
-    return grown
+    g = basis._euler_table(qv)[1] - basis._log_c_row(qv, J - 1)  # log prod_{i>j}(1-q^i)
+    lc = basis._log_c_row(qv, k_max)
+    rates = np.arange(1, k_max + 2) * lnq
+    # nodes j >= m_k contribute exp(e_j) < rel_eps to A_k (g <= 0); m_k does
+    # not grow with k, so the first k of a block sets the window of the block
+    log_eps = math.log(policy.rel_eps) - 5.0
+    ms = np.minimum(J, np.ceil((log_eps + lc) / rates).astype(int) + 1)
+    out = np.empty(k_max + 1)
+    k = 0
+    while k <= k_max:
+        m = ms[k]
+        ks = slice(k, min(k_max + 1, k + max(1, BLOCK_ENTRIES // m)))
+        out[ks] = np.exp(js[:m] * rates[ks, None] + g[:m] - lc[ks, None]) @ f_vals[:m]
+        k = ks.stop
+    out.flags.writeable = False
+    slot[0] = out
+    return out
 
 
 def coefficient_limit(spec, k, f):
@@ -231,44 +226,26 @@ def coefficient_limit(spec, k, f):
     return float(limit_coefficients(spec, f, k)[k])
 
 
-def _limit_k_max(spec, x):
-    """Smallest K past which every limit-basis value at x is below rel_eps."""
-    qv = as_q(spec.q)
-    policy = spec.policy
-    log_pi = basis.log_q_pochhammer_inf(x, qv, policy)
-    _, logc_inf = basis._euler_table(qv)
-    k = (math.log(policy.rel_eps) - 2.0 - log_pi + logc_inf) / math.log(x)
-    k_max = max(8, int(math.ceil(k)))
-    if k_max > policy.max_terms:
-        raise SeriesLimitError("limit operator k-series exceeds max_terms")
-    return k_max, log_pi
-
-
 def apply_limit(spec, f, x):
-    """D_inf(f; x); at x = 1 the continuous extension f(inner(1)) is exact."""
+    """D_inf(f; x) at a scalar x or an array of x.
+
+    Coefficients are computed once, up to the truncation index of the
+    largest x < 1 (the index grows with x); each x then contracts over its
+    own index window.  At x = 1 the continuous extension f(inner(1)) is exact.
+    """
     if not spec.is_limit:
         raise ValueError("apply_limit requires the limit operator")
-    if not (0.0 <= x <= 1.0):
-        raise ValueError("x must lie in [0, 1]")
-    qv = as_q(spec.q)
-    if x == 1.0:
-        # mass escapes to k = inf and A_k(f) -> f(inner(1))
-        return float(f(limit_inner(qv, spec.stancu, 1.0)))
-    if x == 0.0:
-        return coefficient_limit(spec, 0, f)
-    k_max, log_pi = _limit_k_max(spec, x)
-    coeffs = limit_coefficients(spec, f, k_max)
-    ks = np.arange(k_max + 1, dtype=float)
-    logc, logc_inf = basis._euler_table(qv)
-    lc = np.full(k_max + 1, logc_inf)
-    m = min(k_max + 1, len(logc))
-    lc[:m] = logc[:m]
-    log_p = ks * math.log(x) + log_pi - lc
-    return float(np.exp(log_p) @ coeffs)
-
-
-def apply_limit_grid(spec, f, xs):
-    return np.array([apply_limit(spec, f, x) for x in xs])
+    xs = np.asarray(x, dtype=float).ravel()  # the basis rejects x outside [0, 1]
+    qv, policy = as_q(spec.q), spec.policy
+    edge = xs == 1.0
+    top = xs[~edge].max(initial=0.0)
+    coeffs = limit_coefficients(spec, f, len(basis.log_limit_row(qv, top, policy=policy)) - 1)
+    out = np.empty(len(xs))
+    out[edge] = f(limit_inner(qv, spec.stancu, 1.0))  # mass escapes to k = inf, A_k -> f(inner(1))
+    for i in np.flatnonzero(~edge):
+        p = np.exp(basis.log_limit_row(qv, xs[i], policy=policy))
+        out[i] = p @ coeffs[: len(p)]
+    return _shaped(out, x)
 
 
 def apply(spec, f, x):

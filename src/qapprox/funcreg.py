@@ -10,15 +10,21 @@ right-associatively):
     atom    := NUMBER | 't' | NAME '(' expr ')' | '(' expr ')'
 
 NAME is one of abs, exp, sin, cos, sqrt.  Numbers are decimal literals;
-scientific notation is accepted.  Expressions are only evaluated on [0, 1];
-a negative sqrt argument is a runtime evaluation error reporting the
-offending t.
+scientific notation is accepted.  An expression compiles once to a numpy
+function of t that evaluates a whole array of t in one call.  Expressions
+are only evaluated on [0, 1]; division by zero, a negative sqrt argument or
+an undefined power is a runtime evaluation error reporting the offending t,
+while overflow yields inf.
+
+Every test function f takes an ndarray t and returns an array of its shape
+or a scalar, which callers broadcast (``lambda t: 1.0`` is a valid f).
 """
 
-import math
 import re
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 
 class ParseError(ValueError):
@@ -68,48 +74,82 @@ class Call:
     arg: object
 
 
+def _check(bad, t, message, value=0.0):
+    """Raise EvalError at the first t where the mask bad holds.
+
+    message is formatted with that t and the matching entry of value.
+    """
+    if np.any(bad):
+        bad, t, value = np.broadcast_arrays(bad, t, value)
+        i = np.flatnonzero(bad)[0]
+        raise EvalError(message.format(t=float(t.flat[i]), v=float(value.flat[i])))
+
+
+def _divide(num, den, t):
+    _check(den == 0.0, t, "division by zero at t={t}")
+    return num / den
+
+
+def _power(base, exp, t):
+    out = np.power(base, exp)
+    # nan from non-nan operands, or 0 to a negative power; overflow gives inf
+    failed = (np.isnan(out) & ~np.isnan(base) & ~np.isnan(exp)) | ((base == 0.0) & (exp < 0.0))
+    _check(failed, t, "power failed at t={t}")
+    return out
+
+
+def _sqrt(v, t):
+    _check(v < 0.0, t, "sqrt of negative value {v} at t={t}", v)
+    return np.sqrt(v)
+
+
+_BINARY = {
+    "+": lambda a, b, t: a + b,
+    "-": lambda a, b, t: a - b,
+    "*": lambda a, b, t: a * b,
+    "/": _divide,
+    "^": _power,
+}
+
 _FUNCTIONS = {
-    "abs": abs,
-    "exp": math.exp,
-    "sin": math.sin,
-    "cos": math.cos,
+    "abs": lambda v, t: np.abs(v),
+    "exp": lambda v, t: np.exp(v),
+    "sin": lambda v, t: np.sin(v),
+    "cos": lambda v, t: np.cos(v),
+    "sqrt": _sqrt,
 }
 
 
-def evaluate(node, t):
+def _closure(node):
+    """numpy closure of t (a scalar or an ndarray) computing the AST."""
     if isinstance(node, Num):
-        return node.value
+        return lambda t, value=node.value: value
     if isinstance(node, Var):
-        return t
+        return lambda t: t
     if isinstance(node, Neg):
-        return -evaluate(node.operand, t)
+        operand = _closure(node.operand)
+        return lambda t: -operand(t)
     if isinstance(node, Bin):
-        a = evaluate(node.left, t)
-        b = evaluate(node.right, t)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            if b == 0.0:
-                raise EvalError(f"division by zero at t={t}")
-            return a / b
-        if node.op == "^":
-            try:
-                return a**b
-            except (OverflowError, ValueError) as exc:
-                raise EvalError(f"power failed at t={t}: {exc}") from exc
-        raise AssertionError(node.op)
+        op, a, b = _BINARY[node.op], _closure(node.left), _closure(node.right)
+        return lambda t: op(a(t), b(t), t)
     if isinstance(node, Call):
-        v = evaluate(node.arg, t)
-        if node.name == "sqrt":
-            if v < 0.0:
-                raise EvalError(f"sqrt of negative value {v} at t={t}")
-            return math.sqrt(v)
-        return _FUNCTIONS[node.name](v)
+        fn, arg = _FUNCTIONS[node.name], _closure(node.arg)
+        return lambda t: fn(arg(t), t)
     raise AssertionError(type(node))
+
+
+def _compile(node):
+    """Compile an AST once into a function of t, a scalar or an ndarray.
+
+    Overflow yields inf, which callers reject as non-finite; undefined
+    operations raise EvalError naming the offending t.
+    """
+    return np.errstate(all="ignore")(_closure(node))
+
+
+def evaluate(node, t):
+    """Value of the expression at t, a scalar or an ndarray."""
+    return _compile(node)(t)
 
 
 def to_source(node):
@@ -218,7 +258,7 @@ class _Parser:
             self.take("name")
             if tok[1] == "t":
                 return Var()
-            if tok[1] in _FUNCTIONS or tok[1] == "sqrt":
+            if tok[1] in _FUNCTIONS:
                 self.take("(")
                 arg = self.expr()
                 self.take(")")
@@ -226,7 +266,7 @@ class _Parser:
             raise ParseError(
                 f"unknown identifier {tok[1]!r}",
                 tok[2],
-                expected={"t"} | set(_FUNCTIONS) | {"sqrt"},
+                expected={"t"} | set(_FUNCTIONS),
             )
         if tok[0] == "(":
             self.take("(")
@@ -264,7 +304,7 @@ def _builtin_table():
     return {
         "id": lambda: RealFunction("id", lambda t: t, lipschitz=1.0),
         "square": lambda: RealFunction("square", lambda t: t * t, lipschitz=2.0),
-        "expdec": lambda: RealFunction("expdec", lambda t: math.exp(-t), lipschitz=1.0),
+        "expdec": lambda: RealFunction("expdec", lambda t: np.exp(-t), lipschitz=1.0),
     }
 
 
@@ -284,14 +324,13 @@ def builtin(name):
         if head == "absdev":
             return RealFunction(name, lambda t, c=c: abs(t - c), lipschitz=1.0)
         if head == "sin":
-            return RealFunction(name, lambda t, c=c: math.sin(c * t), lipschitz=abs(c))
+            return RealFunction(name, lambda t, c=c: np.sin(c * t), lipschitz=abs(c))
     raise KeyError(f"unknown builtin function {name!r}")
 
 
 def from_expression(source):
     """Compile an expression into a RealFunction."""
-    ast = parse(source)
-    return RealFunction(source, lambda t, ast=ast: evaluate(ast, t))
+    return RealFunction(source, _compile(parse(source)))
 
 
 def resolve(text):

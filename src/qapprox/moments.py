@@ -171,11 +171,12 @@ def verify_moments(specs=None, xs=None):
         specs = default_specs if specs is None else specs
         xs = default_xs if xs is None else xs
     report = MomentReport()
+    xa = np.asarray(xs, dtype=float)
     for spec in specs:
         for j, mono in MONOMIALS.items():
-            for x in xs:
-                closed = finite_moment(spec, j, x)
-                series = durrmeyer.apply(spec, mono, x)
+            closed = finite_moment(spec, j, xa)
+            series = durrmeyer.apply(spec, mono, xa)
+            for x, c, s in zip(xs, closed, series):
                 report.rows.append(
                     MomentRow(
                         n=spec.n,
@@ -184,8 +185,8 @@ def verify_moments(specs=None, xs=None):
                         vartheta=spec.stancu.vartheta,
                         x=x,
                         j=j,
-                        closed=float(closed),
-                        series=float(series),
+                        closed=float(c),
+                        series=float(s),
                     )
                 )
     return report

@@ -25,22 +25,8 @@ class NumericError(QApproxError):
     """A non-finite value appeared where a finite one is required."""
 
 
-@dataclass(frozen=True)
-class QParam:
-    """Deformation parameter q; q = 1 selects the classical branch."""
-
-    q: float
-
-    def __post_init__(self):
-        if not (0.0 < self.q <= 1.0):
-            raise ValueError(f"q must lie in (0, 1], got {self.q}")
-
-    def __float__(self):
-        return self.q
-
-
 def as_q(q) -> float:
-    """Coerce a QParam or plain number to a validated float q."""
+    """Coerce a number to a validated float q in (0, 1]; q = 1 is the classical branch."""
     qv = float(q)
     if not (0.0 < qv <= 1.0):
         raise ValueError(f"q must lie in (0, 1], got {qv}")

@@ -14,7 +14,6 @@ import numpy as np
 
 from . import moments
 from .durrmeyer import OperatorSpec, StancuParams
-from .qcore import QParam
 
 
 @dataclass(frozen=True)
@@ -140,7 +139,7 @@ def qn_sequence(a, n):
         raise ValueError("a must lie in (0, 1)")
     if n < 1:
         raise ValueError("n must be at least 1")
-    return QParam(a ** (1.0 / n))
+    return a ** (1.0 / n)
 
 
 @dataclass
@@ -166,7 +165,7 @@ class KorovkinReport:
 
 def _monomial_error(a, stancu, k, xs):
     """e_i(k) for i = 0, 1, 2 via the closed-form moments at q_k = a^(1/k)."""
-    spec = OperatorSpec(k, float(qn_sequence(a, k)), stancu)
+    spec = OperatorSpec(k, qn_sequence(a, k), stancu)
     out = []
     for i in range(3):
         vals = moments.finite_moment(spec, i, xs)
@@ -198,7 +197,7 @@ def korovkin_harness(a, stancu, n_list, grid_xs, query=None, eps_list=(), weight
         return cache[k][i]
 
     for n in n_list:
-        report.qn.append(float(qn_sequence(a, n)))
+        report.qn.append(qn_sequence(a, n))
     for i in range(3):
         report.errors[i] = [e(i, n) for n in n_list]
     for eps in eps_list:

@@ -26,8 +26,7 @@ from qapprox.durrmeyer import (
     OperatorSpec,
     StancuParams,
     apply_finite,
-    apply_finite_grid,
-    apply_limit_grid,
+    apply_limit,
 )
 from qapprox.funcreg import builtin, from_expression
 from qapprox.moments import MONOMIALS, central_moments, finite_moment
@@ -98,8 +97,8 @@ def test_criterion_04_finite_to_limit_convention_arbiter():
     limit_spec = OperatorSpec(INFINITE, 0.8, st)
     worst = 0.0
     for f in (builtin("id"), builtin("square")):
-        fv = apply_finite_grid(finite_spec, f, xs)
-        lv = apply_limit_grid(limit_spec, f, xs)
+        fv = apply_finite(finite_spec, f, xs)
+        lv = apply_limit(limit_spec, f, xs)
         worst = max(worst, float(np.max(np.abs(fv - lv))))
     ok = worst <= 1e-6
     assert report(4, "finite-to-limit consistency (shift convention)", ok), worst

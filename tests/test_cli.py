@@ -177,3 +177,24 @@ def test_output_file_and_repeatability(runner, tmp_path):
     assert runner.invoke(main, args + ["--out", str(a)]).exit_code == 0
     assert runner.invoke(main, args + ["--out", str(b)]).exit_code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("operator", [["--n", "3"], ["--limit"]])
+def test_eval_overflowing_f_is_a_numeric_error(runner, operator):
+    result = runner.invoke(
+        main, ["eval", *operator, "--q", "0.5", "--f", "exp(1000*t)", "--grid", "5"]
+    )
+    assert result.exit_code == 3
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["moments-verify"],
+        ["density", "--set", "squares", "--n", "100"],
+        ["korovkin", "--a", "0.5", "--n-list", "20,40", "--grid", "21"],
+    ],
+)
+def test_commands_without_series_reject_truncation_options(runner, args):
+    assert runner.invoke(main, args + ["--rel-eps", "1e-10"]).exit_code == 2
+    assert runner.invoke(main, args + ["--max-terms", "5"]).exit_code == 2

@@ -13,8 +13,9 @@ from qapprox.durrmeyer import (
     finite_coefficients,
     finite_inner,
     limit_inner,
+    _limit_slot,
 )
-from qapprox.funcreg import registry_samples
+from qapprox.funcreg import from_expression, registry_samples, resolve
 from qapprox.qcore import q_integer
 
 SPECS = [
@@ -190,3 +191,41 @@ def test_deterministic_bitwise():
     assert apply_finite(spec, f, 0.37) == apply_finite(spec, f, 0.37)
     lspec = OperatorSpec(INFINITE, 0.85)
     assert apply_limit(lspec, f, 0.37) == apply_limit(lspec, f, 0.37)
+
+
+@pytest.mark.parametrize("q", [0.5, 0.9, 1.0])
+@pytest.mark.parametrize("stancu", [StancuParams(), StancuParams(1.0, 2.0)], ids=str)
+def test_batched_apply_matches_scalar_references(q, stancu):
+    # the batched grid paths against sums over the scalar reference functionals
+    from qapprox.basis import bernstein_basis, limit_basis
+
+    f = from_expression("exp(-t)+t^2")
+    xs = np.array([0.0, 0.2, 0.5, 0.8, 1.0])
+    n = 7
+    spec = OperatorSpec(n, q, stancu)
+    coeffs = [coefficient_finite(spec, k, f) for k in range(n + 1)]
+    want = [sum(c * bernstein_basis(n, k, q, x) for k, c in enumerate(coeffs)) for x in xs]
+    assert apply_finite(spec, f, xs) == pytest.approx(want, rel=1e-12)
+    if q == 1.0:
+        return
+    spec = OperatorSpec(INFINITE, q, stancu)
+    # descending k: the first call builds every coefficient, the rest reuse it
+    coeffs = [coefficient_limit(spec, k, f) for k in reversed(range(600))][::-1]
+    want = [sum(c * limit_basis(k, q, x) for k, c in enumerate(coeffs)) for x in xs[:-1]]
+    # x = 1 carries the continuous extension f(inner(1)), where every p_inf,k vanishes
+    want.append(f(limit_inner(q, stancu, 1.0)))
+    assert apply_limit(spec, f, xs) == pytest.approx(want, rel=1e-12)
+
+
+def test_limit_coefficient_cache_is_bounded():
+    spec = OperatorSpec(INFINITE, 0.5)
+    for _ in range(600):
+        apply_limit(spec, resolve("t^2"), 0.5)  # a fresh f, so a fresh cache key
+    assert _limit_slot.cache_info().currsize <= 512
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=str)
+def test_constant_f_broadcasts_on_array_x(spec):
+    vals = apply(spec, lambda t: 1.0, np.array(XS))
+    assert vals.shape == (len(XS),)
+    assert np.allclose(vals, 1.0, rtol=0.0, atol=1e-10)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -134,3 +135,16 @@ def test_from_expression_and_resolve():
     assert f.name == "t^2+1"
     assert resolve("id")(0.4) == 0.4  # registry wins
     assert resolve("t*3")(0.4) == pytest.approx(1.2)  # expression fallback
+
+
+def test_array_evaluation_and_errors():
+    ts = np.array([0.5, 0.0, 1.0])
+    assert np.array_equal(evaluate(parse("2*t"), ts), 2 * ts)
+    with pytest.raises(EvalError) as err:
+        evaluate(parse("1/t"), ts)
+    assert "t=0.0" in str(err.value)
+    with pytest.raises(EvalError) as err:
+        evaluate(parse("(t-0.4)^0.5"), ts)
+    assert "t=0.0" in str(err.value)
+    # overflow is not an evaluation error: it yields inf for the caller to reject
+    assert evaluate(parse("exp(1000*t)"), ts)[2] == math.inf

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qapprox.qcore import (
-    QParam,
+    as_q,
     SeriesLimitError,
     TruncationPolicy,
     jackson_integral,
@@ -123,9 +123,9 @@ def test_max_terms_exhaustion_signals():
 
 def test_parameter_validation():
     with pytest.raises(ValueError):
-        QParam(0.0)
+        as_q(0.0)
     with pytest.raises(ValueError):
-        QParam(1.5)
+        as_q(1.5)
     with pytest.raises(ValueError):
         TruncationPolicy(rel_eps=0.0)
     with pytest.raises(ValueError):
