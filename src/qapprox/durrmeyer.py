@@ -113,6 +113,7 @@ def _shaped(vals, x):
 # on the grid side alike; bounds the working set at about BLOCK * (n + 1) floats.
 BLOCK = 256
 BLOCK_ENTRIES = BLOCK * 1024  # (k, node) exponents of one limit-coefficient block
+BLOCK_WIDEN = 2  # a limit-coefficient block spans at most this many times each k's node window
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +180,7 @@ def apply_finite(spec, f, x):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=64)
 def _limit_slot(spec, f):
     """One-element holder of the longest A_k(f) array computed for (spec, f)."""
     return [np.empty(0)]
@@ -200,25 +201,72 @@ def limit_coefficients(spec, f, k_max):
     if J > policy.max_terms:
         raise SeriesLimitError("limit coefficient node count exceeds max_terms")
     t_nodes = qv ** np.arange(J)
-    f_vals = _at_nodes(f, limit_inner(qv, spec.stancu, t_nodes))
-    js = np.arange(J, dtype=float)
+    # columns f and 1: one product gives each A_k and its weight sum
+    f_one = np.column_stack((_at_nodes(f, limit_inner(qv, spec.stancu, t_nodes)), np.ones(J)))
     g = basis._euler_table(qv)[1] - basis._log_c_row(qv, J - 1)  # log prod_{i>j}(1-q^i)
     lc = basis._log_c_row(qv, k_max)
     rates = np.arange(1, k_max + 2) * lnq
-    # nodes j >= m_k contribute exp(e_j) < rel_eps to A_k (g <= 0); m_k does
-    # not grow with k, so the first k of a block sets the window of the block
-    log_eps = math.log(policy.rel_eps) - 5.0
-    ms = np.minimum(J, np.ceil((log_eps + lc) / rates).astype(int) + 1)
+    lo, hi = _node_windows(t_nodes, g, lc, rates, math.log(policy.rel_eps / J))
     out = np.empty(k_max + 1)
+    buf = np.empty(max(BLOCK_ENTRIES, J))  # reused: a fresh block of pages costs as much as its exp
     k = 0
     while k <= k_max:
-        m = ms[k]
-        ks = slice(k, min(k_max + 1, k + max(1, BLOCK_ENTRIES // m)))
-        out[ks] = np.exp(js[:m] * rates[ks, None] + g[:m] - lc[ks, None]) @ f_vals[:m]
+        # a block of k spans the nodes [lo of its last k, hi of its first k)
+        union = hi[k] - lo[k:]
+        fits = (np.arange(1, k_max + 2 - k) * union <= BLOCK_ENTRIES) & (
+            union <= BLOCK_WIDEN * (hi[k:] - lo[k:])
+        )
+        ks = slice(k, k + max(1, int(np.argmin(np.append(fits, False)))))  # leading fits
+        out[ks] = _jackson_block(buf, g, f_one, lc[ks], rates[ks], lo[ks.stop - 1], hi[k])
         k = ks.stop
     out.flags.writeable = False
     slot[0] = out
     return out
+
+
+def _node_windows(t_nodes, g, lc, rates, log_cut):
+    """Per k, the node interval [lo_k, hi_k) where e_k(j) >= log_cut.
+
+    e_k(j) = j rate_k + g_j - lc_k is concave in j (the steps of g shrink),
+    so the interval is one run around its peak, the first j whose next step
+    is not positive; the peak itself is always kept.  Both ends fall as k
+    grows, since e_{k+1} - e_k decreases in j.
+    """
+    # e_k(j+1) - e_k(j) = rate_k - log(1 - q^(j+1))
+    peak = np.searchsorted(np.log1p(-t_nodes[1:]), rates)
+    cut = lc + log_cut
+
+    def below(j):
+        return j * rates + g[j] < cut
+
+    lo = _first_true(lambda j: ~below(j), np.zeros_like(peak), peak)
+    hi = _first_true(below, peak + 1, np.full_like(peak, len(t_nodes)))
+    return lo, hi
+
+
+def _first_true(test, lo, hi):
+    """Per entry, the least j in [lo, hi) with test(j) true, else hi; test(j)
+    must be false, then true, along each entry's range (bisection)."""
+    while np.any(lo < hi):
+        open_ = lo < hi
+        mid = np.minimum((lo + hi) // 2, hi - 1)  # (lo + hi) // 2 on open entries
+        t = test(mid)
+        hi = np.where(open_ & t, mid, hi)
+        lo = np.where(open_ & ~t, mid + 1, lo)
+    return lo
+
+
+def _jackson_block(buf, g, f_one, lc, rates, a, b):
+    """A_k for a block of k (its lc, rates) over nodes [a, b), each divided by
+    its weight sum, which is 1 in exact arithmetic since A_k(1) = 1.  The
+    exponents are built in place in buf."""
+    w = buf[: len(lc) * (b - a)].reshape(len(lc), b - a)
+    np.multiply(rates[:, None], np.arange(a, b), out=w)
+    w += g[a:b]
+    w -= lc[:, None]
+    np.exp(w, out=w)
+    sums = w @ f_one[a:b]
+    return sums[:, 0] / sums[:, 1]
 
 
 def coefficient_limit(spec, k, f):
@@ -244,7 +292,7 @@ def apply_limit(spec, f, x):
     out[edge] = f(limit_inner(qv, spec.stancu, 1.0))  # mass escapes to k = inf, A_k -> f(inner(1))
     for i in np.flatnonzero(~edge):
         p = np.exp(basis.log_limit_row(qv, xs[i], policy=policy))
-        out[i] = p @ coeffs[: len(p)]
+        out[i] = (p @ coeffs[: len(p)]) / p.sum()  # sum p is 1 - tail; constants come out exact
     return _shaped(out, x)
 
 

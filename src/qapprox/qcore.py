@@ -98,12 +98,15 @@ def q_binomial_row(n, q):
 @lru_cache(maxsize=4096)
 def _q_binomial_row_cached(n, qv):
     row = np.array([1.0])
-    for m in range(1, n + 1):
-        # new[k] = C(m-1,k-1)_q + q^k C(m-1,k)_q
-        new = np.zeros(m + 1)
-        new[1:] = row
-        new[:m] += (qv ** np.arange(m)) * row
-        row = new
+    with np.errstate(over="ignore"):  # reported below, as a typed error
+        for m in range(1, n + 1):
+            # new[k] = C(m-1,k-1)_q + q^k C(m-1,k)_q
+            new = np.zeros(m + 1)
+            new[1:] = row
+            new[:m] += (qv ** np.arange(m)) * row
+            row = new
+    if not np.all(np.isfinite(row)):
+        raise NumericError(f"Gaussian binomial row n={n}, q={qv} overflows a float")
     row.flags.writeable = False
     return row
 
@@ -112,7 +115,7 @@ def q_pochhammer(x, q, m, policy=DEFAULT_POLICY):
     """(1 - x)_q^m = prod_{s=0}^{m-1} (1 - q^s x).
 
     m may be math.inf (or None), which requires q < 1 strictly; the
-    infinite product truncates once q^s |x| drops below rel_eps.
+    infinite product is exp(log_q_pochhammer_inf).
     """
     qv = as_q(q)
     if m is None:
@@ -128,27 +131,35 @@ def q_pochhammer(x, q, m, policy=DEFAULT_POLICY):
 
 
 def log_q_pochhammer_inf(x, q, policy=DEFAULT_POLICY):
-    """log prod_{s>=0} (1 - q^s x) for q < 1; -inf when a factor vanishes."""
+    """log prod_{s>=0} (1 - q^s x) for q < 1; -inf when a factor vanishes.
+
+    The S factors with q^s |x| > 1/2 are summed as logarithms.  The rest,
+    with y = q^S x and |y| <= 1/2, is the series
+    log (y;q)_inf = -sum_{m>=1} y^m / (m (1 - q^m)),
+    whose m-th term is at most |y|^(m-1) / m times the first; it stops once
+    |y|^(m-1) < rel_eps.  The S logarithms and the series terms together
+    count against max_terms.
+    """
     qv = as_q(q)
     if qv == 1.0:
         raise ValueError("infinite q-Pochhammer requires q < 1")
     if x == 0.0:
         return 0.0
-    # truncate once q^s |x| drops below rel_eps
-    s_max = int(math.ceil(math.log(policy.rel_eps / abs(x)) / math.log(qv))) + 1
-    if s_max < 1:
-        s_max = 1
-    if s_max > policy.max_terms:
+    if x >= 1.0:  # the s = 0 factor is the smallest
+        if x == 1.0:
+            return -math.inf
+        raise NumericError("q-Pochhammer factor negative at s=0")
+    lnq = math.log(qv)
+    S = max(0, math.ceil(math.log(0.5 / abs(x)) / lnq))
+    y = x * qv**S
+    while abs(y) > 0.5:  # S one short by rounding
+        S, y = S + 1, y * qv
+    M = max(1, math.ceil(math.log(policy.rel_eps) / math.log(abs(y))) + 1)
+    if S + M > policy.max_terms:
         raise SeriesLimitError("q-Pochhammer product exceeded max_terms")
-    factors = 1.0 - (qv ** np.arange(s_max)) * x
-    if factors[0] <= 0.0 or factors[-1] <= 0.0:
-        bad = np.flatnonzero(factors <= 0.0)
-        if bad.size:
-            s = int(bad[0])
-            if factors[s] == 0.0:
-                return -math.inf
-            raise NumericError(f"q-Pochhammer factor negative at s={s}")
-    return float(np.sum(np.log(factors)))
+    m = np.arange(1, M + 1)
+    tail = np.sum(y**m / (m * -np.expm1(m * lnq)))
+    return float(np.sum(np.log1p(-(qv ** np.arange(S)) * x)) - tail)
 
 
 def jackson_integral(f, q, policy=DEFAULT_POLICY):

@@ -187,6 +187,11 @@ def test_eval_overflowing_f_is_a_numeric_error(runner, operator):
     assert result.exit_code == 3
 
 
+def test_eval_classical_beyond_float_binomials_is_a_numeric_error(runner):
+    result = runner.invoke(main, ["eval", "--n", "1200", "--q", "1", "--f", "t^2", "--grid", "5"])
+    assert result.exit_code == 3
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from qapprox.basis import INFINITE
+from qapprox.analysis import GridSpec
+from qapprox.basis import INFINITE, log_limit_row
 from qapprox.durrmeyer import (
     OperatorSpec,
     StancuParams,
@@ -12,11 +15,13 @@ from qapprox.durrmeyer import (
     coefficient_limit,
     finite_coefficients,
     finite_inner,
+    limit_coefficients,
     limit_inner,
     _limit_slot,
 )
 from qapprox.funcreg import from_expression, registry_samples, resolve
-from qapprox.qcore import q_integer
+from qapprox.moments import limit_moment
+from qapprox.qcore import NumericError, q_integer
 
 SPECS = [
     OperatorSpec(3, 0.5),
@@ -221,7 +226,7 @@ def test_limit_coefficient_cache_is_bounded():
     spec = OperatorSpec(INFINITE, 0.5)
     for _ in range(600):
         apply_limit(spec, resolve("t^2"), 0.5)  # a fresh f, so a fresh cache key
-    assert _limit_slot.cache_info().currsize <= 512
+    assert _limit_slot.cache_info().currsize <= 64
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=str)
@@ -229,3 +234,41 @@ def test_constant_f_broadcasts_on_array_x(spec):
     vals = apply(spec, lambda t: 1.0, np.array(XS))
     assert vals.shape == (len(XS),)
     assert np.allclose(vals, 1.0, rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("q", [0.5, 0.9, 0.95, 0.99, 0.995, 0.999])
+@pytest.mark.parametrize("stancu", [StancuParams(), StancuParams(1.0, 2.0)], ids=str)
+def test_limit_grid_values_match_closed_forms(q, stancu):
+    xs = GridSpec(1001).xs
+    spec = OperatorSpec(INFINITE, q, stancu)
+    m0, m1, m2 = (limit_moment(q, stancu, j, xs) for j in range(3))
+    for f, want in (
+        (resolve("const:2"), 2.0 * m0),
+        (resolve("0.3-1.2*t+2.5*t^2"), 0.3 * m0 - 1.2 * m1 + 2.5 * m2),
+    ):
+        got = apply_limit(spec, f, xs)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("q", [0.5, 0.9, 0.999])
+def test_limit_coefficients_match_dense_jackson_sum(q):
+    # A_k(f) = sum_j w_kj f(inner(q^j)) / sum_j w_kj over every node j, with
+    # log w_kj = j (k+1) log q - log prod_{i<=j} (1 - q^i) up to a k-only term
+    stancu = StancuParams(1.0, 2.0)
+    spec = OperatorSpec(INFINITE, q, stancu)
+    f = from_expression("sin(3*t)+t^2")
+    k_max = len(log_limit_row(q, 0.995)) - 1
+    got = limit_coefficients(spec, f, k_max)
+    js = np.arange(int(math.log(1e-22) / math.log(q)))
+    log_c = np.cumsum(np.log1p(-(q ** js[1:])).astype(np.longdouble))
+    log_c = np.concatenate(([0.0], log_c.astype(float)))
+    f_nodes = f(limit_inner(q, stancu, q**js))
+    for k in sorted(set(np.linspace(0, k_max, 40, dtype=int))):
+        e = js * (k + 1) * math.log(q) - log_c
+        w = np.exp(e - e.max())
+        assert got[k] == pytest.approx((w @ f_nodes) / w.sum(), rel=1e-13)
+
+
+def test_classical_operator_beyond_float_binomials_is_a_numeric_error():
+    with pytest.raises(NumericError):
+        apply_finite(OperatorSpec(1200, 1.0), lambda t: t * t, 0.5)

@@ -1,14 +1,18 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from qapprox.qcore import (
     as_q,
+    NumericError,
     SeriesLimitError,
     TruncationPolicy,
     jackson_integral,
+    log_q_pochhammer_inf,
     q_binomial,
+    q_binomial_row,
     q_factorial,
     q_integer,
     q_pochhammer,
@@ -79,6 +83,30 @@ def test_q_pochhammer_examples():
         expect *= 1.0 - 0.5**s * 0.3
         s += 1
     assert q_pochhammer(0.3, 0.5, math.inf) == pytest.approx(expect, rel=1e-13)
+
+
+@pytest.mark.parametrize("q", [0.5, 0.9, 0.99, 0.999])
+@pytest.mark.parametrize("x", [1e-3, 0.3, 0.5, 0.9, 0.995, 1 - 1e-6])
+def test_log_q_pochhammer_inf_against_log_sum(q, x):
+    # every logarithm of the product, summed exactly (agrees with 40-digit
+    # arithmetic to 2e-15)
+    terms, s = [], 0
+    while x * q**s > 1e-18:
+        terms.append(math.log1p(-x * q**s))
+        s += 1
+    assert log_q_pochhammer_inf(x, q) == pytest.approx(math.fsum(terms), rel=0, abs=1e-12)
+
+
+def test_log_q_pochhammer_inf_vanishing_and_negative_factors():
+    assert log_q_pochhammer_inf(1.0, 0.999) == -math.inf
+    with pytest.raises(NumericError):
+        log_q_pochhammer_inf(1.5, 0.9)
+
+
+def test_q_binomial_row_overflow_is_a_numeric_error():
+    assert np.all(np.isfinite(q_binomial_row(1029, 1.0)))
+    with pytest.raises(NumericError):
+        q_binomial_row(1030, 1.0)
 
 
 def test_q_pochhammer_infinite_rejects_q1():
