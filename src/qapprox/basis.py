@@ -98,29 +98,44 @@ def basis_row(n, q, x):
     return basis_matrix(n, q, [x])[0]
 
 
+@lru_cache(maxsize=256)
+def _log_pochhammer(x, qv, policy):
+    """log (x;q)_inf at one x; limit_basis reads it at every k of the same x."""
+    return log_q_pochhammer_inf(x, qv, policy)
+
+
+def _truncation_index(qv, log_x, log_pi, policy):
+    """Index K of the limit series at x in (0, 1), from log x and log (x;q)_inf
+    (scalars or arrays): the smallest K past which every basis value is below
+    rel_eps."""
+    k = (math.log(policy.rel_eps) - 2.0 - log_pi + _euler_table(qv)[1]) / log_x
+    K = np.maximum(8.0, np.ceil(k))
+    if np.any(K > policy.max_terms):
+        raise SeriesLimitError("limit operator k-series exceeds max_terms")
+    return K.astype(int)
+
+
 def log_limit_row(q, x, K=None, policy=DEFAULT_POLICY):
     """log p_{inf,k}(q;x) for k = 0..K at one x in [0, 1]; -inf where the basis vanishes.
 
     log p_{inf,k} = k log x + log (x;q)_inf - log c_k.  For x < 1, K defaults
-    to the truncation index of the limit series at x: the smallest K past
-    which every basis value is below rel_eps.
+    to the truncation index of the limit series at x (_truncation_index).
+    log (x;q)_inf is memoised per (x, q, policy).
     """
     qv = as_q(q)
     if qv == 1.0:
         raise ValueError("the limit basis requires q < 1")
     if not (0.0 <= x <= 1.0):
         raise ValueError("x must lie in [0, 1]")
+    # -inf at x = 1, where the s = 0 factor vanishes
+    log_pi = _log_pochhammer(float(x), qv, policy)
     if x == 0.0:  # p_{inf,k}(q;0) = [k = 0]
         row = np.full(1 if K is None else K + 1, -math.inf)
         row[0] = 0.0
         return row
-    log_pi = log_q_pochhammer_inf(x, qv, policy)  # -inf at x = 1, where the s = 0 factor vanishes
     log_x = math.log(x)
     if K is None:
-        k = (math.log(policy.rel_eps) - 2.0 - log_pi + _euler_table(qv)[1]) / log_x
-        K = max(8, int(math.ceil(k)))
-        if K > policy.max_terms:
-            raise SeriesLimitError("limit operator k-series exceeds max_terms")
+        K = int(_truncation_index(qv, log_x, log_pi, policy))
     return np.arange(K + 1) * log_x + log_pi - _log_c_row(qv, K)
 
 

@@ -49,6 +49,10 @@ class TruncationPolicy:
 
 DEFAULT_POLICY = TruncationPolicy()
 
+# Entries of one (row, term) block of a batched series: bounds the working
+# set of every blocked array computation at about 2 MB.
+BLOCK_ENTRIES = 256 * 1024
+
 
 def q_integer(n, q):
     """[n]_q = (1 - q^n)/(1 - q), with [n]_1 = n and [0]_q = 0."""
@@ -57,7 +61,8 @@ def q_integer(n, q):
     qv = as_q(q)
     if qv == 1.0:
         return float(n)
-    return (1.0 - qv**n) / (1.0 - qv)
+    lnq = math.log(qv)  # expm1 keeps both differences exact as q -> 1
+    return math.expm1(n * lnq) / math.expm1(lnq)
 
 
 def q_factorial(n, q):
@@ -133,33 +138,42 @@ def q_pochhammer(x, q, m, policy=DEFAULT_POLICY):
 def log_q_pochhammer_inf(x, q, policy=DEFAULT_POLICY):
     """log prod_{s>=0} (1 - q^s x) for q < 1; -inf when a factor vanishes.
 
-    The S factors with q^s |x| > 1/2 are summed as logarithms.  The rest,
+    x may be a scalar (float out) or an array (array of its shape out).  The
+    S factors with q^s max|x| > 1/2 are summed as logarithms.  The rest,
     with y = q^S x and |y| <= 1/2, is the series
     log (y;q)_inf = -sum_{m>=1} y^m / (m (1 - q^m)),
     whose m-th term is at most |y|^(m-1) / m times the first; it stops once
-    |y|^(m-1) < rel_eps.  The S logarithms and the series terms together
-    count against max_terms.
+    max|y|^(m-1) < rel_eps.  The S logarithms and the series terms together
+    count against max_terms.  Rows of x are summed BLOCK_ENTRIES // max(S, M)
+    at a time.
     """
     qv = as_q(q)
     if qv == 1.0:
         raise ValueError("infinite q-Pochhammer requires q < 1")
-    if x == 0.0:
-        return 0.0
-    if x >= 1.0:  # the s = 0 factor is the smallest
-        if x == 1.0:
-            return -math.inf
+    xs = np.asarray(x, dtype=float).ravel()
+    if np.any(xs > 1.0):  # the s = 0 factor is the smallest
         raise NumericError("q-Pochhammer factor negative at s=0")
-    lnq = math.log(qv)
-    S = max(0, math.ceil(math.log(0.5 / abs(x)) / lnq))
-    y = x * qv**S
-    while abs(y) > 0.5:  # S one short by rounding
-        S, y = S + 1, y * qv
-    M = max(1, math.ceil(math.log(policy.rel_eps) / math.log(abs(y))) + 1)
-    if S + M > policy.max_terms:
-        raise SeriesLimitError("q-Pochhammer product exceeded max_terms")
-    m = np.arange(1, M + 1)
-    tail = np.sum(y**m / (m * -np.expm1(m * lnq)))
-    return float(np.sum(np.log1p(-(qv ** np.arange(S)) * x)) - tail)
+    out = np.where(xs == 1.0, -math.inf, 0.0)
+    live = np.flatnonzero((xs != 0.0) & (xs != 1.0))
+    if len(live):
+        xl = xs[live]
+        top = np.abs(xl).max()
+        lnq = math.log(qv)
+        S = max(0, math.ceil(math.log(0.5 / top) / lnq))
+        while top * qv**S > 0.5:  # S one short by rounding
+            S += 1
+        M = max(1, math.ceil(math.log(policy.rel_eps) / math.log(top * qv**S)) + 1)
+        if S + M > policy.max_terms:
+            raise SeriesLimitError("q-Pochhammer product exceeded max_terms")
+        powers = -(qv ** np.arange(S))
+        m = np.arange(1, M + 1)
+        weights = m * -np.expm1(m * lnq)
+        rows = max(1, BLOCK_ENTRIES // max(S, M))
+        for i in range(0, len(xl), rows):
+            xb = xl[i : i + rows, None]
+            tail = np.sum((xb * qv**S) ** m / weights, axis=1)
+            out[live[i : i + rows]] = np.sum(np.log1p(powers * xb), axis=1) - tail
+    return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
 
 
 def jackson_integral(f, q, policy=DEFAULT_POLICY):

@@ -12,6 +12,7 @@ from qapprox.analysis import (
     rate_experiment,
     sup_norm_diff,
 )
+from qapprox.basis import _log_pochhammer, limit_basis
 from qapprox.durrmeyer import StancuParams
 from qapprox.funcreg import builtin, registry_samples
 from qapprox.moments import finite_moment, limit_moment
@@ -114,3 +115,21 @@ def test_basis_inequality():
     assert basis_inequality_check(10, 0.8, GridSpec(101)) <= 1e-12
     with pytest.raises(ValueError):
         basis_inequality_check(5, 1.0, GridSpec(11))
+
+
+@pytest.mark.parametrize(
+    "n, q, total",
+    [(5, 0.5, "0x1.4e5e6c06ab7e9p+5"), (20, 0.8, "0x1.7763c15b898efp+5"),
+     (40, 0.95, "0x1.5a452d83eb7b1p+5")],
+)
+def test_basis_inequality_computes_log_pochhammer_once_per_x(n, q, total):
+    # limit_basis(k, q, x) at every k <= n of each x reads one memoised
+    # log (x;q)_inf; total is the exact sum of every value as computed
+    # without the memo
+    assert _log_pochhammer.cache_info().maxsize == 256
+    _log_pochhammer.cache_clear()
+    grid = GridSpec(51)
+    assert basis_inequality_check(n, q, grid) == 0.0
+    assert _log_pochhammer.cache_info().misses == 51
+    values = [limit_basis(k, q, x) for x in grid.xs for k in range(n + 1)]
+    assert math.fsum(values) == float.fromhex(total)

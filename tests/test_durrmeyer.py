@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from qapprox.durrmeyer import (
 )
 from qapprox.funcreg import from_expression, registry_samples, resolve
 from qapprox.moments import limit_moment
-from qapprox.qcore import NumericError, q_integer
+from qapprox.qcore import NumericError, SeriesLimitError, TruncationPolicy, q_integer
 
 SPECS = [
     OperatorSpec(3, 0.5),
@@ -272,3 +273,51 @@ def test_limit_coefficients_match_dense_jackson_sum(q):
 def test_classical_operator_beyond_float_binomials_is_a_numeric_error():
     with pytest.raises(NumericError):
         apply_finite(OperatorSpec(1200, 1.0), lambda t: t * t, 0.5)
+
+
+def _per_x_limit(spec, f, xs):
+    # reference: one x at a time, exp(log_limit_row) contracted with the
+    # coefficients and divided by its sum
+    out = []
+    for x in np.ravel(xs):
+        if x == 1.0:
+            out.append(f(limit_inner(spec.q, spec.stancu, 1.0)))
+            continue
+        p = np.exp(log_limit_row(spec.q, x, policy=spec.policy))
+        out.append(p @ limit_coefficients(spec, f, len(p) - 1) / p.sum())
+    return np.reshape(out, np.shape(xs))
+
+
+@pytest.mark.parametrize("q", [0.5, 0.9, 0.999])
+@pytest.mark.parametrize("stancu", [StancuParams(), StancuParams(1.0, 2.0)], ids=str)
+def test_batched_apply_limit_matches_per_x_reference(q, stancu):
+    spec = OperatorSpec(INFINITE, q, stancu)
+    f = from_expression("sin(3*t)+abs(t-0.37)")
+    xs = np.array([[0.7, 0.0, 0.25, 1.0, 0.99], [0.25, 0.013, 1.0, 0.5, 0.0]])  # unsorted, repeats
+    got = apply_limit(spec, f, xs)
+    want = _per_x_limit(spec, f, xs)
+    assert got.shape == xs.shape
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+    one = apply_limit(spec, f, 0.25)
+    assert isinstance(one, float)
+    assert one == pytest.approx(want[0, 2], rel=1e-13)
+    for bad in (np.array([0.5, 1.5]), -0.1):
+        with pytest.raises(ValueError):
+            apply_limit(spec, f, bad)
+    with pytest.raises(SeriesLimitError):
+        apply_limit(OperatorSpec(INFINITE, q, stancu, TruncationPolicy(max_terms=5)), f, xs)
+
+
+def test_apply_limit_working_set_is_bounded():
+    # blocks of (x, k) exponents and of Pochhammer terms, not a grid x K matrix
+    spec = OperatorSpec(INFINITE, 0.999)
+    f = resolve("sin(3*t)")
+    xs = GridSpec(1001).xs
+    apply_limit(spec, f, xs)  # coefficients built and cached
+    tracemalloc.start()
+    try:
+        apply_limit(spec, f, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -73,6 +74,18 @@ def test_q_integer_recurrence(n, q):
     assert q_integer(n + 1, q) == pytest.approx(1.0 + q * q_integer(n, q), rel=1e-12, abs=1e-12)
 
 
+@given(
+    n=st.integers(min_value=0, max_value=60),
+    u=st.floats(min_value=1.0, max_value=9.0, allow_nan=False),
+)
+def test_q_integer_matches_exact_sum_near_one(n, u):
+    # 1 + q + ... + q^(n-1) in exact rational arithmetic on the float q;
+    # (1 - q^n)/(1 - q) in floats loses up to 5e-9 of it near q = 1
+    q = 1.0 - 10.0**-u
+    exact = sum(Fraction(q) ** i for i in range(n))
+    assert q_integer(n, q) == pytest.approx(float(exact), rel=2e-15, abs=0.0)
+
+
 def test_q_pochhammer_examples():
     assert q_pochhammer(0.0, 0.5, 4) == 1.0
     assert q_pochhammer(0.5, 1.0, 2) == pytest.approx(0.25)
@@ -95,6 +108,33 @@ def test_log_q_pochhammer_inf_against_log_sum(q, x):
         terms.append(math.log1p(-x * q**s))
         s += 1
     assert log_q_pochhammer_inf(x, q) == pytest.approx(math.fsum(terms), rel=0, abs=1e-12)
+
+
+def _exact_log_sum(x, q):
+    # every logarithm of the product, summed exactly
+    terms, s = [], 0
+    while x * q**s > 1e-18:
+        terms.append(math.log1p(-x * q**s))
+        s += 1
+    return math.fsum(terms)
+
+
+@pytest.mark.parametrize("q", [0.5, 0.9, 0.99, 0.999])
+def test_log_q_pochhammer_inf_array_form(q):
+    # one common S for the whole array: each entry within an ulp or two of
+    # its scalar call, which picks S from that x alone
+    xs = np.array([[0.995, 1e-3, 0.3, 0.0], [0.5, 1 - 1e-6, 0.9, 0.3]])
+    got = log_q_pochhammer_inf(xs, q)
+    assert got.shape == xs.shape
+    for x, v in zip(xs.ravel(), got.ravel()):
+        scalar = log_q_pochhammer_inf(float(x), q)
+        assert v == pytest.approx(scalar, rel=0, abs=2e-15 * max(1.0, abs(scalar)))
+        assert v == pytest.approx(_exact_log_sum(x, q), rel=0, abs=1e-12)
+    assert isinstance(log_q_pochhammer_inf(0.3, q), float)
+    edges = log_q_pochhammer_inf(np.array([0.0, 1.0, 0.5]), q)
+    assert edges[0] == 0.0 and edges[1] == -math.inf and np.isfinite(edges[2])
+    with pytest.raises(NumericError):
+        log_q_pochhammer_inf(np.array([0.5, 1.5, 0.0]), q)
 
 
 def test_log_q_pochhammer_inf_vanishing_and_negative_factors():
