@@ -13,16 +13,13 @@ from .qcore import (  # noqa: F401
     q_binomial,
     q_factorial,
     q_integer,
-    q_pochhammer,
 )
-from .basis import INFINITE, bernstein_basis, limit_basis, limit_basis_identity_sums  # noqa: F401
+from .basis import INFINITE, limit_basis, limit_basis_identity_sums  # noqa: F401
 from .durrmeyer import (  # noqa: F401
     OperatorSpec,
     StancuParams,
     apply_finite,
     apply_limit,
-    coefficient_finite,
-    coefficient_limit,
 )
 from .moments import central_moments, finite_moment, limit_moment, verify_moments  # noqa: F401
 from .statconv import (  # noqa: F401

@@ -13,8 +13,8 @@ import numpy as np
 
 from . import durrmeyer
 from .basis import INFINITE, basis_row, limit_basis
-from .durrmeyer import OperatorSpec
-from .qcore import DEFAULT_POLICY, NumericError, as_q
+from .durrmeyer import OperatorSpec, _finite_values
+from .qcore import DEFAULT_POLICY, as_q
 
 
 @dataclass(frozen=True)
@@ -39,13 +39,6 @@ class GridSpec:
 DEFAULT_GRID = GridSpec()
 
 
-def _values(f, xs):
-    vals = np.broadcast_to(np.asarray(f(xs), dtype=float), xs.shape)
-    if not np.all(np.isfinite(vals)):
-        raise NumericError("function produced non-finite values on the grid")
-    return vals
-
-
 def modulus_of_continuity(f, t, grid=DEFAULT_GRID):
     """Grid estimate of omega(f, t) = sup{|f(x)-f(y)| : |x-y| <= t}.
 
@@ -54,7 +47,7 @@ def modulus_of_continuity(f, t, grid=DEFAULT_GRID):
     """
     if not (0.0 <= t <= 1.0):
         raise ValueError("t must lie in [0, 1]")
-    vals = _values(f, grid.xs)
+    vals = _finite_values(f, grid.xs)
     h = grid.spacing
     d_max = int(math.floor(t / h + 0.5 + 1e-12))
     best = 0.0
@@ -67,7 +60,7 @@ def modulus_of_continuity(f, t, grid=DEFAULT_GRID):
 
 def sup_norm_diff(f, g, grid=DEFAULT_GRID):
     """max over the grid of |f - g|."""
-    return float(np.max(np.abs(_values(f, grid.xs) - _values(g, grid.xs))))
+    return float(np.max(np.abs(_finite_values(f, grid.xs) - _finite_values(g, grid.xs))))
 
 
 @dataclass
@@ -110,7 +103,7 @@ def q_to_one_experiment(f, stancu, q_list, grid=DEFAULT_GRID, policy=DEFAULT_POL
     if sorted(q_list) != q_list or any(qv >= 1.0 for qv in q_list):
         raise ValueError("q_list must increase toward 1 with every q < 1")
     xs = grid.xs
-    f_vals = _values(f, xs)
+    f_vals = _finite_values(f, xs)
     out = []
     for qv in q_list:
         spec = OperatorSpec(INFINITE, qv, stancu, policy)
@@ -124,7 +117,7 @@ def fixed_point_check(f, q, stancu, grid=DEFAULT_GRID, policy=DEFAULT_POLICY):
     spec = OperatorSpec(INFINITE, as_q(q), stancu, policy)
     xs = grid.xs
     vals = durrmeyer.apply_limit(spec, f, xs)
-    return float(np.max(np.abs(vals - _values(f, xs))))
+    return float(np.max(np.abs(vals - _finite_values(f, xs))))
 
 
 def basis_inequality_check(n, q, grid=DEFAULT_GRID, policy=DEFAULT_POLICY):

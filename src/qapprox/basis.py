@@ -6,7 +6,6 @@ their ratios do.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -21,28 +20,6 @@ from .qcore import (
 
 # Marker for the n -> infinity basis/operator degree.
 INFINITE = None
-
-
-@dataclass(frozen=True)
-class BasisPoint:
-    """An (n, k, q, x) evaluation point; n = INFINITE selects the limit basis."""
-
-    n: object
-    k: int
-    q: float
-    x: float
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("k must be nonnegative")
-        if not (0.0 <= self.x <= 1.0):
-            raise ValueError("x must lie in [0, 1]")
-        qv = as_q(self.q)
-        if self.n is INFINITE:
-            if qv == 1.0:
-                raise ValueError("the limit basis requires q < 1")
-        elif self.n < 0:
-            raise ValueError("n must be nonnegative")
 
 
 @lru_cache(maxsize=128)
@@ -69,13 +46,6 @@ def _log_c_row(qv, K):
     if K < len(logc):
         return logc[: K + 1]
     return np.concatenate((logc, np.full(K + 1 - len(logc), logc_inf)))
-
-
-def bernstein_basis(n, k, q, x):
-    """p_{nk}(q;x) = C(n,k)_q x^k (1-x)_q^{n-k}; zero for k outside 0..n."""
-    if k < 0 or k > n:
-        return 0.0
-    return float(basis_row(n, q, x)[k])
 
 
 def basis_matrix(n, q, xs):

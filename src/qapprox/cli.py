@@ -277,10 +277,9 @@ def _index_set(text):
 def cmd_density(set_name, gamma, n_text, out, fmt):
     """Empirical alpha-beta density of a builtin index set (alpha=1, beta=n)."""
     meta = {"command": "density", "set": set_name, "gamma": gamma, "n": n_text}
-    members = _index_set(set_name)
 
     def compute():
-        query = statconv.DensityQuery(gamma=gamma, members=members)
+        query = statconv.DensityQuery(gamma=gamma, members=_index_set(set_name))
         rows = []
         for n in _parse_int_list(n_text):
             win = statconv.window(query.pair, n)

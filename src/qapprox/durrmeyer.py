@@ -41,7 +41,6 @@ from .qcore import (
     SeriesLimitError,
     TruncationPolicy,
     as_q,
-    jackson_integral,
     log_q_pochhammer_inf,
     q_integer,
 )
@@ -98,11 +97,11 @@ def limit_inner(q, stancu, t):
     return np.clip(num / den, 0.0, 1.0)
 
 
-def _at_nodes(f, u):
-    """f evaluated in one call on the node array u, broadcast to its shape."""
+def _finite_values(f, u):
+    """f called once on the array u, broadcast to its shape; NumericError if not finite."""
     vals = np.broadcast_to(np.asarray(f(u), dtype=float), np.shape(u))
     if not np.all(np.isfinite(vals)):
-        raise NumericError("integrand non-finite at an integration node")
+        raise NumericError("function value non-finite at an evaluation point")
     return vals
 
 
@@ -122,22 +121,6 @@ BLOCK_WIDEN = 2  # a block of limit-side rows spans at most this many times its 
 # ---------------------------------------------------------------------------
 
 
-def coefficient_finite(spec, k, f):
-    """A_{nk}(f) via the Jackson integral (scalar reference path)."""
-    n = spec.n
-    if spec.is_limit:
-        raise ValueError("coefficient_finite requires a finite degree")
-    if not (0 <= k <= n):
-        raise ValueError(f"k must lie in 0..{n}")
-    qv = as_q(spec.q)
-
-    def integrand(t):
-        return f(finite_inner(spec, t)) * basis.bernstein_basis(n, k, qv, qv * t)
-
-    val = jackson_integral(integrand, qv, spec.policy)
-    return q_integer(n + 1, qv) * qv ** (-k) * val
-
-
 @lru_cache(maxsize=512)
 def finite_coefficients(spec, f):
     """All A_{nk}(f), k = 0..n, as a read-only array (cached per (spec, f))."""
@@ -146,7 +129,7 @@ def finite_coefficients(spec, f):
     if qv == 1.0:
         # classical integral: one adaptive rule over the vector of all k
         def integrand(t):
-            return _at_nodes(f, finite_inner(spec, t)) * basis.basis_row(n, qv, t)
+            return _finite_values(f, finite_inner(spec, t)) * basis.basis_row(n, qv, t)
 
         integral, _ = integrate.quad_vec(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13)
     else:
@@ -155,11 +138,14 @@ def finite_coefficients(spec, f):
         if J > policy.max_terms:
             raise SeriesLimitError("finite coefficient node count exceeds max_terms")
         t_nodes = qv ** np.arange(J)
-        fw = (1.0 - qv) * t_nodes * _at_nodes(f, finite_inner(spec, t_nodes))
+        fw = (1.0 - qv) * t_nodes * _finite_values(f, finite_inner(spec, t_nodes))
         integral = np.zeros(n + 1)
         for i in range(0, J, BLOCK):
             integral += fw[i : i + BLOCK] @ basis.basis_matrix(n, qv, qv * t_nodes[i : i + BLOCK])
-    out = q_integer(n + 1, qv) * qv ** (-np.arange(n + 1, dtype=float)) * integral
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, as a typed error
+        out = q_integer(n + 1, qv) * qv ** (-np.arange(n + 1, dtype=float)) * integral
+    if not np.all(np.isfinite(out)):
+        raise NumericError(f"finite coefficients n={n}, q={qv}: q^-k overflows a float")
     out.flags.writeable = False
     return out
 
@@ -203,7 +189,7 @@ def limit_coefficients(spec, f, k_max):
         raise SeriesLimitError("limit coefficient node count exceeds max_terms")
     t_nodes = qv ** np.arange(J)
     # columns f and 1: one product gives each A_k and its weight sum
-    f_one = np.column_stack((_at_nodes(f, limit_inner(qv, spec.stancu, t_nodes)), np.ones(J)))
+    f_one = np.column_stack((_finite_values(f, limit_inner(qv, spec.stancu, t_nodes)), np.ones(J)))
     g = basis._euler_table(qv)[1] - basis._log_c_row(qv, J - 1)  # log prod_{i>j}(1-q^i)
     lc = basis._log_c_row(qv, k_max)
     rates = np.arange(1, k_max + 2) * lnq
@@ -281,11 +267,6 @@ def _jackson_block(buf, g, f_one, lc, rates, a, b):
     np.exp(w, out=w)
     sums = w @ f_one[a:b]
     return sums[:, 0] / sums[:, 1]
-
-
-def coefficient_limit(spec, k, f):
-    """A_k(f) of the limit operator."""
-    return float(limit_coefficients(spec, f, k)[k])
 
 
 def apply_limit(spec, f, x):

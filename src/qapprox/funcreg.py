@@ -340,15 +340,3 @@ def resolve(text):
     except KeyError:
         return from_expression(text)
 
-
-def registry_samples():
-    """A small cross-section of registry functions for property tests."""
-    return [
-        builtin("const:2"),
-        builtin("id"),
-        builtin("square"),
-        builtin("absdev:0.5"),
-        builtin("absdev:0.3"),
-        builtin("expdec"),
-        builtin("sin:3"),
-    ]

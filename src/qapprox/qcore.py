@@ -1,5 +1,5 @@
 """q-calculus primitives: q-integers, q-factorials, Gaussian binomials,
-q-Pochhammer products and the Jackson q-integral on [0,1].
+the log of the infinite q-Pochhammer product and the Jackson q-integral on [0,1].
 
 All routines are pure, deterministic (fixed summation order) and define the
 q = 1 limit by continuity, so classical values can serve as oracles.
@@ -41,8 +41,8 @@ class TruncationPolicy:
     max_terms: int = 10**6
 
     def __post_init__(self):
-        if self.rel_eps <= 0:
-            raise ValueError("rel_eps must be positive")
+        if not (0.0 < self.rel_eps < 1.0):  # also rejects nan
+            raise ValueError(f"rel_eps must lie in (0, 1), got {self.rel_eps}")
         if self.max_terms < 1:
             raise ValueError("max_terms must be at least 1")
 
@@ -114,25 +114,6 @@ def _q_binomial_row_cached(n, qv):
         raise NumericError(f"Gaussian binomial row n={n}, q={qv} overflows a float")
     row.flags.writeable = False
     return row
-
-
-def q_pochhammer(x, q, m, policy=DEFAULT_POLICY):
-    """(1 - x)_q^m = prod_{s=0}^{m-1} (1 - q^s x).
-
-    m may be math.inf (or None), which requires q < 1 strictly; the
-    infinite product is exp(log_q_pochhammer_inf).
-    """
-    qv = as_q(q)
-    if m is None:
-        m = math.inf
-    if m == math.inf:
-        return math.exp(log_q_pochhammer_inf(x, qv, policy))
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    out = 1.0
-    for s in range(int(m)):
-        out *= 1.0 - (qv**s) * x
-    return out
 
 
 def log_q_pochhammer_inf(x, q, policy=DEFAULT_POLICY):

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from oracles import registry_samples
 from qapprox.analysis import (
     DEFAULT_GRID,
     GridSpec,
@@ -14,7 +15,7 @@ from qapprox.analysis import (
 )
 from qapprox.basis import _log_pochhammer, limit_basis
 from qapprox.durrmeyer import StancuParams
-from qapprox.funcreg import builtin, registry_samples
+from qapprox.funcreg import builtin
 from qapprox.moments import finite_moment, limit_moment
 from qapprox.durrmeyer import OperatorSpec
 

@@ -3,35 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from qapprox.basis import (
-    INFINITE,
-    BasisPoint,
-    basis_row,
-    bernstein_basis,
-    limit_basis,
-    limit_basis_identity_sums,
-    log_limit_basis,
-)
-from qapprox.qcore import q_binomial
+from oracles import direct_basis
+from qapprox.basis import basis_row, limit_basis, limit_basis_identity_sums, log_limit_basis
 
 QS = [0.3, 0.6, 0.9, 1.0]
 XS = np.linspace(0.0, 1.0, 101)
 
 
-def direct_basis(n, k, q, x):
-    # direct product oracle, independent of basis_row's shared cumulants
-    poch = 1.0
-    for s in range(n - k):
-        poch *= 1.0 - q**s * x
-    return q_binomial(n, k, q) * x**k * poch
-
-
 def test_bernstein_examples():
     # C(2,1)_q x (1-x)_q^1 = 1.5 * 0.5 * 0.5
-    assert bernstein_basis(2, 1, 0.5, 0.5) == pytest.approx(0.375, rel=1e-14)
-    assert bernstein_basis(4, 2, 0.5, 0.3) == pytest.approx(direct_basis(4, 2, 0.5, 0.3), rel=1e-13)
-    assert bernstein_basis(3, 5, 0.5, 0.5) == 0.0
-    assert bernstein_basis(3, -1, 0.5, 0.5) == 0.0
+    assert basis_row(2, 0.5, 0.5)[1] == pytest.approx(0.375, rel=1e-14)
+    assert basis_row(4, 0.5, 0.3)[2] == pytest.approx(direct_basis(4, 2, 0.5, 0.3), rel=1e-13)
 
 
 @pytest.mark.parametrize("q", QS)
@@ -58,6 +40,8 @@ def test_endpoint_degeneracy():
     row = basis_row(6, 0.7, 1.0)
     assert row[6] == pytest.approx(1.0, rel=1e-14)
     assert np.sum(row[:6]) == pytest.approx(0.0, abs=1e-14)
+    with pytest.raises(ValueError):
+        basis_row(5, 0.5, 1.2)
 
 
 def test_limit_basis_boundaries():
@@ -65,6 +49,9 @@ def test_limit_basis_boundaries():
     assert limit_basis(3, 0.5, 0.0) == 0.0
     assert limit_basis(0, 0.5, 1.0) == 0.0
     assert log_limit_basis(2, 0.5, 1.0) == -math.inf
+    for k, q, x in ((3, 1.0, 0.2), (-1, 0.5, 0.2), (1, 0.5, 1.2)):  # q = 1, k < 0, x > 1
+        with pytest.raises(ValueError):
+            limit_basis(k, q, x)
 
 
 def test_limit_basis_direct_oracle():
@@ -101,14 +88,3 @@ def test_identity_sum_spot_values():
     assert s1 == pytest.approx(0.75, abs=1e-10)
     assert s2 == pytest.approx(0.65625, abs=1e-10)
 
-
-def test_basis_point_validation():
-    BasisPoint(INFINITE, 3, 0.5, 0.2)
-    with pytest.raises(ValueError):
-        BasisPoint(INFINITE, 3, 1.0, 0.2)
-    with pytest.raises(ValueError):
-        BasisPoint(5, -1, 0.5, 0.2)
-    with pytest.raises(ValueError):
-        BasisPoint(5, 1, 0.5, 1.2)
-    with pytest.raises(ValueError):
-        BasisPoint(-2, 1, 0.5, 0.2)

@@ -62,6 +62,11 @@ def test_eval_config_errors(runner):
     assert bad_q.exit_code == 2
     bad_f = runner.invoke(main, ["eval", "--n", "3", "--q", "0.5", "--f", "t +"])
     assert bad_f.exit_code == 2
+    for rel_eps in ("inf", "nan", "1.0", "2"):
+        bad_eps = runner.invoke(
+            main, ["eval", "--limit", "--q", "0.5", "--f", "t", "--rel-eps", rel_eps]
+        )
+        assert bad_eps.exit_code == 2
 
 
 def test_eval_numeric_exit_via_env(runner):
@@ -100,8 +105,9 @@ def test_density_examples(runner):
     _, rows = parse_csv(result.output)
     assert float(rows[0][-1]) == pytest.approx(0.4)  # {2,3,5,7}
 
-    result = runner.invoke(main, ["density", "--set", "nope", "--n", "10"])
-    assert result.exit_code == 2
+    for bad in ("nope", "multiples:abc", "multiples:0"):
+        result = runner.invoke(main, ["density", "--set", bad, "--n", "10"])
+        assert result.exit_code == 2
 
 
 def test_fixed_value(runner):
@@ -190,6 +196,17 @@ def test_eval_overflowing_f_is_a_numeric_error(runner, operator):
 def test_eval_classical_beyond_float_binomials_is_a_numeric_error(runner):
     result = runner.invoke(main, ["eval", "--n", "1200", "--q", "1", "--f", "t^2", "--grid", "5"])
     assert result.exit_code == 3
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["eval", "--n", "200", "--q", "0.01", "--f", "t", "--grid", "5"],
+        ["rate", "--q", "0.05", "--n-list", "5..300", "--f", "t", "--grid", "11"],
+    ],
+)
+def test_finite_operator_beyond_float_q_powers_is_a_numeric_error(runner, args):
+    assert runner.invoke(main, args).exit_code == 3
 
 
 @pytest.mark.parametrize(

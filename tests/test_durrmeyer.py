@@ -4,24 +4,23 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import coefficient_finite, direct_basis, registry_samples
 from qapprox.analysis import GridSpec
-from qapprox.basis import INFINITE, log_limit_row
+from qapprox.basis import INFINITE, basis_row, limit_basis, log_limit_row
 from qapprox.durrmeyer import (
     OperatorSpec,
     StancuParams,
     apply,
     apply_finite,
     apply_limit,
-    coefficient_finite,
-    coefficient_limit,
     finite_coefficients,
     finite_inner,
     limit_coefficients,
     limit_inner,
     _limit_slot,
 )
-from qapprox.funcreg import from_expression, registry_samples, resolve
-from qapprox.moments import limit_moment
+from qapprox.funcreg import from_expression, resolve
+from qapprox.moments import finite_moment, limit_moment
 from qapprox.qcore import NumericError, SeriesLimitError, TruncationPolicy, q_integer
 
 SPECS = [
@@ -73,23 +72,19 @@ def test_classical_apply_oracle():
 
 def test_coefficient_against_jackson_partial_sum():
     # independent partial-sum oracle at the spec'd example point
-    from qapprox.basis import bernstein_basis
-
     n, q, k = 5, 0.8, 3
     spec = OperatorSpec(n, q, StancuParams(1.0, 2.0))
     nq = q_integer(n, q)
     acc = 0.0
     for j in range(400):
         t = q**j
-        acc += q**j * ((nq * t + 1.0) / (nq + 2.0)) * bernstein_basis(n, k, q, q * t)
+        acc += q**j * ((nq * t + 1.0) / (nq + 2.0)) * direct_basis(n, k, q, q * t)
     expect = q_integer(n + 1, q) * q ** (-k) * (1.0 - q) * acc
     assert coefficient_finite(spec, k, lambda t: t) == pytest.approx(expect, rel=1e-12)
     assert finite_coefficients(spec, lambda t: t)[k] == pytest.approx(expect, rel=1e-10)
 
 
 def test_limit_coefficient_against_jackson_partial_sum():
-    from qapprox.basis import limit_basis
-
     q, k = 0.5, 1
     spec = OperatorSpec(INFINITE, q)
     acc = 0.0
@@ -97,7 +92,7 @@ def test_limit_coefficient_against_jackson_partial_sum():
         t = q**j
         acc += q**j * t * limit_basis(k, q, q * t)
     expect = q ** (-k) / (1.0 - q) * (1.0 - q) * acc
-    assert coefficient_limit(spec, k, lambda t: t) == pytest.approx(expect, rel=1e-11)
+    assert limit_coefficients(spec, lambda t: t, k)[k] == pytest.approx(expect, rel=1e-11)
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=str)
@@ -176,8 +171,6 @@ def test_dispatch_and_domain_errors():
         apply_limit(finite, lambda t: t, 0.5)
     with pytest.raises(ValueError):
         apply_finite(finite, lambda t: t, 1.5)
-    with pytest.raises(ValueError):
-        coefficient_finite(finite, 9, lambda t: t)
     assert apply(finite, lambda t: t, 0.5) == apply_finite(finite, lambda t: t, 0.5)
     assert apply(limit, lambda t: t, 0.5) == apply_limit(limit, lambda t: t, 0.5)
 
@@ -185,8 +178,6 @@ def test_dispatch_and_domain_errors():
 def test_coefficients_reconstruct_unity():
     spec = OperatorSpec(6, 0.8, StancuParams(1.0, 2.0))
     coeffs = finite_coefficients(spec, lambda t: 1.0)
-    from qapprox.basis import basis_row
-
     for x in XS:
         assert float(coeffs @ basis_row(6, 0.8, x)) == pytest.approx(1.0, abs=1e-12)
 
@@ -203,20 +194,17 @@ def test_deterministic_bitwise():
 @pytest.mark.parametrize("stancu", [StancuParams(), StancuParams(1.0, 2.0)], ids=str)
 def test_batched_apply_matches_scalar_references(q, stancu):
     # the batched grid paths against sums over the scalar reference functionals
-    from qapprox.basis import bernstein_basis, limit_basis
-
     f = from_expression("exp(-t)+t^2")
     xs = np.array([0.0, 0.2, 0.5, 0.8, 1.0])
     n = 7
     spec = OperatorSpec(n, q, stancu)
     coeffs = [coefficient_finite(spec, k, f) for k in range(n + 1)]
-    want = [sum(c * bernstein_basis(n, k, q, x) for k, c in enumerate(coeffs)) for x in xs]
+    want = [sum(c * basis_row(n, q, x)[k] for k, c in enumerate(coeffs)) for x in xs]
     assert apply_finite(spec, f, xs) == pytest.approx(want, rel=1e-12)
     if q == 1.0:
         return
     spec = OperatorSpec(INFINITE, q, stancu)
-    # descending k: the first call builds every coefficient, the rest reuse it
-    coeffs = [coefficient_limit(spec, k, f) for k in reversed(range(600))][::-1]
+    coeffs = limit_coefficients(spec, f, 599)
     want = [sum(c * limit_basis(k, q, x) for k, c in enumerate(coeffs)) for x in xs[:-1]]
     # x = 1 carries the continuous extension f(inner(1)), where every p_inf,k vanishes
     want.append(f(limit_inner(q, stancu, 1.0)))
@@ -273,6 +261,17 @@ def test_limit_coefficients_match_dense_jackson_sum(q):
 def test_classical_operator_beyond_float_binomials_is_a_numeric_error():
     with pytest.raises(NumericError):
         apply_finite(OperatorSpec(1200, 1.0), lambda t: t * t, 0.5)
+
+
+def test_finite_coefficients_beyond_float_q_powers_are_a_numeric_error():
+    # A_nk carries q^-k, which overflows once n log10(1/q) > 308
+    xs = np.linspace(0.0, 1.0, 11)
+    spec = OperatorSpec(1022, 0.5, StancuParams(0.5, 1.0))
+    got = apply_finite(spec, lambda t: t, xs)
+    assert np.allclose(got, finite_moment(spec, 1, xs), rtol=0.0, atol=1e-14)
+    for n, q in ((1023, 0.5), (600, 0.3), (200, 0.01)):
+        with pytest.raises(NumericError):
+            apply_finite(OperatorSpec(n, q, StancuParams(0.5, 1.0)), lambda t: t, xs)
 
 
 def _per_x_limit(spec, f, xs):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import registry_samples
 from qapprox.funcreg import (
     Bin,
     Call,
@@ -16,7 +17,6 @@ from qapprox.funcreg import (
     evaluate,
     from_expression,
     parse,
-    registry_samples,
     resolve,
     to_source,
 )
