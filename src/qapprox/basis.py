@@ -85,6 +85,17 @@ def _truncation_index(qv, log_x, log_pi, policy):
     return K.astype(int)
 
 
+def _limit_point(q, x, policy):
+    """Checked q < 1 and x in [0, 1], and log (x;q)_inf (-inf at x = 1, where
+    the s = 0 factor vanishes), memoised per (x, q, policy)."""
+    qv = as_q(q)
+    if qv == 1.0:
+        raise ValueError("the limit basis requires q < 1")
+    if not (0.0 <= x <= 1.0):
+        raise ValueError("x must lie in [0, 1]")
+    return qv, _log_pochhammer(float(x), qv, policy)
+
+
 def log_limit_row(q, x, K=None, policy=DEFAULT_POLICY):
     """log p_{inf,k}(q;x) for k = 0..K at one x in [0, 1]; -inf where the basis vanishes.
 
@@ -92,13 +103,7 @@ def log_limit_row(q, x, K=None, policy=DEFAULT_POLICY):
     to the truncation index of the limit series at x (_truncation_index).
     log (x;q)_inf is memoised per (x, q, policy).
     """
-    qv = as_q(q)
-    if qv == 1.0:
-        raise ValueError("the limit basis requires q < 1")
-    if not (0.0 <= x <= 1.0):
-        raise ValueError("x must lie in [0, 1]")
-    # -inf at x = 1, where the s = 0 factor vanishes
-    log_pi = _log_pochhammer(float(x), qv, policy)
+    qv, log_pi = _limit_point(q, x, policy)
     if x == 0.0:  # p_{inf,k}(q;0) = [k = 0]
         row = np.full(1 if K is None else K + 1, -math.inf)
         row[0] = 0.0
@@ -110,10 +115,15 @@ def log_limit_row(q, x, K=None, policy=DEFAULT_POLICY):
 
 
 def log_limit_basis(k, q, x, policy=DEFAULT_POLICY):
-    """log p_{inf,k}(q;x) for x in [0,1]; -inf where the basis vanishes."""
+    """log p_{inf,k}(q;x) = k log x + log (x;q)_inf - log c_k for x in [0,1];
+    -inf where the basis vanishes.  The one entry k of log_limit_row."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return float(log_limit_row(q, x, k, policy)[k])
+    qv, log_pi = _limit_point(q, x, policy)
+    if x == 0.0:
+        return 0.0 if k == 0 else -math.inf
+    logc, logc_inf = _euler_table(qv)
+    return float(k * math.log(x) + log_pi - (logc[k] if k < len(logc) else logc_inf))
 
 
 def limit_basis(k, q, x, policy=DEFAULT_POLICY):

@@ -4,9 +4,11 @@ Exit codes: 0 ok, 1 an assertion threshold failed (report still written),
 2 invalid configuration, 3 numeric failure.
 """
 
+import math
 import sys
 
 import click
+import numpy as np
 
 from . import analysis, durrmeyer, funcreg, moments, statconv
 from .basis import INFINITE
@@ -235,25 +237,31 @@ def cmd_ineq(n, q, grid_points, tol, out, fmt, rel_eps, max_terms):
         sys.exit(EXIT_THRESHOLD)
 
 
-_INDEX_SETS = {
-    "squares": lambda k: k >= 0 and int(k**0.5 + 0.5) ** 2 == k,
-    "primes": lambda k: _is_prime(k),
-}
+def _squares(k):
+    """Perfect squares among the int64 indices k: floor(sqrt(k)) with a
+    one-step correction, so the root is exact wherever r^2 fits in int64."""
+    r = np.sqrt(np.maximum(k, 0)).astype(np.int64)  # truncation is floor here
+    r -= r * r > k
+    r += (r + 1) * (r + 1) <= k
+    return (k >= 0) & (r * r == k)
 
 
-def _is_prime(k):
-    if k < 2:
-        return False
-    if k < 4:
-        return True
-    if k % 2 == 0:
-        return False
-    d = 3
-    while d * d <= k:
-        if k % d == 0:
-            return False
-        d += 2
-    return True
+def _primes(k):
+    """Primes among the int64 indices k, by a segmented sieve over [min k, max k]."""
+    if k.size == 0:
+        return np.zeros(k.shape, dtype=bool)
+    lo = max(int(k.min()), 2)
+    hi = max(int(k.max()) + 1, lo + 1)
+    root = math.isqrt(hi - 1)
+    span = np.ones(hi - lo, dtype=bool)  # span[i]: lo + i has no prime factor <= root
+    if root >= 2:
+        for p in np.flatnonzero(_primes(np.arange(root + 1))).tolist():
+            first = max(p * p, -(-lo // p) * p)
+            span[first - lo :: p] = False
+    return (k >= lo) & span[np.maximum(k - lo, 0)]
+
+
+_INDEX_SETS = {"squares": _squares, "primes": _primes}
 
 
 def _index_set(text):

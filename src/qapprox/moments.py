@@ -22,23 +22,32 @@ def finite_moment(spec, j, x):
     """Closed-form D_n(t^j; x) for j in {0, 1, 2}; accepts array x."""
     if spec.is_limit:
         return limit_moment(spec.q, spec.stancu, j, x)
-    qv = as_q(spec.q)
-    n = spec.n
-    vp = spec.stancu.varpi
-    vt = spec.stancu.vartheta
-    nn = q_integer(n, qv)
-    n2 = q_integer(n + 2, qv)
-    n3 = q_integer(n + 3, qv)
-    q3 = q_integer(3, qv)
+    return finite_moment_at(spec.n, as_q(spec.q), spec.stancu, j, x)
+
+
+def finite_moment_at(n, q, stancu, j, x):
+    """Closed-form D_{n,q}(t^j; x) for j in {0, 1, 2}.
+
+    n, q and x are scalars or arrays that broadcast together (q < 1 where n
+    or q is an array), so one call evaluates a whole sequence (n, q_n) on a
+    grid; j = 0 gives the ones of x's shape.  finite_moment is its one-spec
+    case.
+    """
+    vp = stancu.varpi
+    vt = stancu.vartheta
+    nn = q_integer(n, q)
+    n2 = q_integer(n + 2, q)
+    n3 = q_integer(n + 3, q)
+    q3 = q_integer(3, q)
     if j == 0:
         return np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
     if j == 1:
-        return (nn + vp * n2 + qv * x * nn**2) / (n2 * (nn + vt))
+        return (nn + vp * n2 + q * x * nn**2) / (n2 * (nn + vt))
     if j == 2:
         den = (nn + vt) ** 2 * n2 * n3
-        c2 = qv**3 * nn**3 * (nn - 1.0)
-        c1 = (qv * (1.0 + qv) ** 2 + 2.0 * vp * qv**4) * nn**3 + 2.0 * vp * qv * q3 * nn**2
-        c0 = (1.0 + qv + 2.0 * vp * qv**3) * nn**2 + 2.0 * vp * q3 * nn
+        c2 = q**3 * nn**3 * (nn - 1.0)
+        c1 = (q * (1.0 + q) ** 2 + 2.0 * vp * q**4) * nn**3 + 2.0 * vp * q * q3 * nn**2
+        c0 = (1.0 + q + 2.0 * vp * q**3) * nn**2 + 2.0 * vp * q3 * nn
         return (c2 * x**2 + c1 * x + c0) / den + vp**2 / (nn + vt) ** 2
     raise ValueError("moment order j must be 0, 1 or 2")
 

@@ -55,7 +55,17 @@ BLOCK_ENTRIES = 256 * 1024
 
 
 def q_integer(n, q):
-    """[n]_q = (1 - q^n)/(1 - q), with [n]_1 = n and [0]_q = 0."""
+    """[n]_q = (1 - q^n)/(1 - q), with [n]_1 = n and [0]_q = 0.
+
+    n and q may also be arrays that broadcast together, with every q in
+    (0, 1) (array out).
+    """
+    if np.ndim(n) or np.ndim(q):
+        qv = np.asarray(q, dtype=float)
+        if np.any(np.asarray(n) < 0) or not np.all((qv > 0.0) & (qv < 1.0)):
+            raise ValueError("array q-integers need n >= 0 and q in (0, 1)")
+        lnq = np.log(qv)
+        return np.expm1(n * lnq) / np.expm1(lnq)
     if n < 0:
         raise ValueError("n must be nonnegative")
     qv = as_q(q)

@@ -1,6 +1,11 @@
 """Alpha-beta statistical density machinery and the Korovkin-style
 empirical harness.
 
+Index sequences (the members of an index set, a sequence x_k and the
+weights s_k) are array-valued: an int64 index array in, a bool or float
+array of its shape (or a broadcast scalar) out.  Every density, trajectory
+and weighted mean is one blocked pass over the span of its windows.
+
 Only finite-n trajectories are ever reported: limits of densities are not
 computable, so "convergence" is something tests assert through trajectory
 bounds, never through extrapolation.
@@ -13,7 +18,8 @@ from typing import Callable
 import numpy as np
 
 from . import moments
-from .durrmeyer import OperatorSpec, StancuParams
+from .durrmeyer import StancuParams
+from .qcore import BLOCK_ENTRIES
 
 
 @dataclass(frozen=True)
@@ -42,13 +48,19 @@ class AlphaBetaPair:
 CLASSICAL_PAIR = AlphaBetaPair(alpha=lambda n: 1, beta=lambda n: n)
 
 
+def _at(seq, ks, dtype):
+    """The index sequence seq on the index array ks, as an array of ks's shape."""
+    return np.broadcast_to(np.asarray(seq(ks), dtype=dtype), ks.shape)
+
+
 @dataclass(frozen=True)
 class DensityQuery:
-    """A density question: window pair, order gamma and index set K."""
+    """A density question: window pair, order gamma and index set K
+    (members: an index predicate, int64 array in, bool array out)."""
 
     pair: AlphaBetaPair = CLASSICAL_PAIR
     gamma: float = 1.0
-    members: Callable[[int], bool] = lambda k: False
+    members: Callable[[np.ndarray], np.ndarray] = lambda k: False
 
     def __post_init__(self):
         if not (0.0 < self.gamma <= 1.0):
@@ -57,12 +69,12 @@ class DensityQuery:
 
 @dataclass(frozen=True)
 class WeightSequence:
-    """Nonnegative weights s_k with s_0 > 0."""
+    """Nonnegative weights s_k with s_0 > 0 (s: int64 array in, float array out)."""
 
-    s: Callable[[int], float]
+    s: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
-        if self.s(0) <= 0:
+        if not _at(self.s, np.zeros(1, dtype=np.int64), float)[0] > 0:  # also rejects nan
             raise ValueError("s_0 must be positive")
 
 
@@ -80,64 +92,112 @@ def window(pair, n):
     return range(lo, hi + 1)
 
 
+def _window_sums(pair, n_list, columns):
+    """Sums of columns(k) over each window P_n, n in n_list, in one pass.
+
+    columns maps an int64 array of consecutive indices to a 2-D array, one
+    row per index.  The pass walks [min alpha(n), max beta(n)] in blocks of
+    at most BLOCK_ENTRIES indices, calls columns once per block and keeps
+    running totals at the window ends, so each window sum is the difference
+    of two totals.  Bool and integer columns are totalled exactly in int64.
+    Float columns are totalled in np.longdouble (80-bit extended precision
+    on x86-64), so the rounding that a long prefix carries into the
+    difference stays below that of a direct float64 sum over the window.
+    Returns the windows and a 2-D array of sums (int64 or float64), one row
+    per n.
+    """
+    wins = [window(pair, n) for n in n_list]
+    ends = np.array([(w.start, w.stop) for w in wins], dtype=np.int64).reshape(-1, 2)
+    first, last = (int(ends.min()), int(ends.max())) if wins else (0, 0)
+    totals = carry = None
+    # with no windows, one empty block still gives the sums their width
+    for start in range(first, last, BLOCK_ENTRIES) or [first]:
+        stop = min(start + BLOCK_ENTRIES, last)
+        block = np.asarray(columns(np.arange(start, stop, dtype=np.int64)))
+        if totals is None:
+            dtype = np.longdouble if block.dtype.kind == "f" else np.int64
+            totals = np.zeros(ends.shape + block.shape[1:], dtype=dtype)
+            carry = np.zeros(block.shape[1:], dtype=dtype)
+        # cum[i] is carry plus the total of the block's first i rows
+        cum = np.zeros((len(block) + 1,) + block.shape[1:], dtype=dtype)
+        np.cumsum(block, axis=0, dtype=dtype, out=cum[1:])
+        cum += carry
+        here = (ends >= start) & (ends <= stop)
+        totals[here] = cum[ends[here] - start]
+        carry = cum[-1]
+    sums = totals[:, 1] - totals[:, 0]
+    return wins, sums if dtype == np.int64 else sums.astype(float)
+
+
+def _normed(gamma, counts, sn, n_list):
+    """count / S_n^gamma for each n, once every S_n is checked positive."""
+    for n, s in zip(n_list, sn):
+        if not s > 0.0:  # also rejects nan
+            raise ValueError(f"S_n must be positive, got {s} at n={n}")
+    return [c / s**gamma for c, s in zip(counts, sn)]
+
+
 def empirical_density(query, n):
     """|K intersect P_n| / (beta(n) - alpha(n) + 1)^gamma at finite n."""
-    win = window(query.pair, n)
-    count = sum(1 for k in win if query.members(k))
-    return count / float(len(win)) ** query.gamma
+    (win,), sums = _window_sums(query.pair, [n], lambda ks: _at(query.members, ks, bool)[:, None])
+    return int(sums[0, 0]) / float(len(win)) ** query.gamma
+
+
+def _exceedances(values, eps_list, query, weights, n_list):
+    """Weighted density trajectories |{k in P_n : s_k v_k >= eps}| / S_n^gamma
+    of every column v of values(k) and every eps of eps_list, in one pass.
+
+    values maps an int64 index array to a 2-D array, one row per index.
+    Returns the trajectories eps-major: (eps_0, v_0), (eps_0, v_1), ...
+    """
+    for eps in eps_list:
+        if not (math.isfinite(eps) and eps > 0):  # nan fails both tests
+            raise ValueError(f"eps must be finite and positive, got {eps}")
+
+    def columns(ks):
+        s = _at(weights.s, ks, float)
+        v = s[:, None] * values(ks)
+        return np.column_stack([s] + [v >= eps for eps in eps_list])
+
+    _, sums = _window_sums(query.pair, n_list, columns)
+    sn = sums[:, 0].tolist()
+    return [_normed(query.gamma, col.tolist(), sn, n_list) for col in sums[:, 1:].T]
 
 
 def ab_stat_trajectory(x, ell, eps, query, n_list):
     """Density trajectory of the exceedance set {k : |x_k - ell| >= eps}."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    exceeds = DensityQuery(
-        pair=query.pair,
-        gamma=query.gamma,
-        members=lambda k: abs(x(k) - ell) >= eps,
-    )
-    return [empirical_density(exceeds, n) for n in n_list]
+    return weighted_trajectory(x, ell, eps, query, ONES, n_list)
 
 
 def weighted_trajectory(x, ell, eps, query, weights, n_list):
     """Weighted density trajectory: |{k in P_n : s_k |x_k - ell| >= eps}| / S_n^gamma."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    out = []
-    for n in n_list:
-        win = window(query.pair, n)
-        sn = 0.0
-        count = 0
-        for k in win:
-            sk = weights.s(k)
-            sn += sk
-            if sk * abs(x(k) - ell) >= eps:
-                count += 1
-        if sn <= 0.0:
-            raise ValueError(f"S_n is zero at n={n}")
-        out.append(count / sn**query.gamma)
-    return out
+    (traj,) = _exceedances(
+        lambda ks: np.abs(_at(x, ks, float) - ell)[:, None], [eps], query, weights, n_list
+    )
+    return traj
 
 
 def weighted_mean(x, weights, query, n):
     """z_n = S_n^(-gamma) sum_{k in P_n} s_k x_k."""
-    win = window(query.pair, n)
-    sn = 0.0
-    acc = 0.0
-    for k in win:
-        sk = weights.s(k)
-        sn += sk
-        acc += sk * x(k)
-    if sn <= 0.0:
-        raise ValueError(f"S_n is zero at n={n}")
-    return acc / sn**query.gamma
+
+    def columns(ks):
+        s = _at(weights.s, ks, float)
+        return np.column_stack((s, s * _at(x, ks, float)))
+
+    _, sums = _window_sums(query.pair, [n], columns)
+    sn, acc = sums[0].tolist()
+    (z,) = _normed(query.gamma, [acc], [sn], [n])
+    return z
 
 
 def qn_sequence(a, n):
-    """q_n = a^(1/n): q_n -> 1 with q_n^n = a exactly and 1/[n]_{q_n} -> 0."""
+    """q_n = a^(1/n): q_n -> 1 with q_n^n = a exactly and 1/[n]_{q_n} -> 0.
+
+    n may be an integer array (array out).
+    """
     if not (0.0 < a < 1.0):
         raise ValueError("a must lie in (0, 1)")
-    if n < 1:
+    if np.any(np.asarray(n) < 1):
         raise ValueError("n must be at least 1")
     return a ** (1.0 / n)
 
@@ -163,22 +223,29 @@ class KorovkinReport:
         return cols
 
 
-def _monomial_error(a, stancu, k, xs):
-    """e_i(k) for i = 0, 1, 2 via the closed-form moments at q_k = a^(1/k)."""
-    spec = OperatorSpec(k, qn_sequence(a, k), stancu)
-    out = []
-    for i in range(3):
-        vals = moments.finite_moment(spec, i, xs)
-        out.append(float(np.max(np.abs(vals - xs**i))))
+def _monomial_errors(a, stancu, ks, xs):
+    """e_i(k) = max over xs of |D_k(t^i; x) - x^i| at q_k = a^(1/k), i = 0, 1, 2.
+
+    One row per k of the index array ks, from the closed-form moments
+    evaluated on (k x grid) row blocks of at most BLOCK_ENTRIES entries.
+    """
+    out = np.empty((len(ks), 3))
+    rows = max(1, BLOCK_ENTRIES // max(1, len(xs)))
+    for r in range(0, len(ks), rows):
+        kb = ks[r : r + rows, None]
+        qb = qn_sequence(a, kb)
+        for i in range(3):
+            vals = np.broadcast_to(moments.finite_moment_at(kb, qb, stancu, i, xs), (len(kb), len(xs)))
+            out[r : r + rows, i] = np.max(np.abs(vals - xs**i), axis=1)
     return out
 
 
 def korovkin_harness(a, stancu, n_list, grid_xs, query=None, eps_list=(), weights=ONES):
     """Monomial sup-errors of D_{n,q_n} and their weighted density trajectories.
 
-    e_i(k) is evaluated through the verified closed-form moments so windows
-    up to k ~ 10^3 stay cheap; the density trajectories treat {e_i(k)} as the
-    sequence under test with limit 0.
+    e_i(k) is evaluated through the verified closed-form moments, for all k
+    of a block at once; the density trajectories treat {e_i(k)} as the
+    sequence under test with limit 0, every (i, eps) in one pass.
     """
     n_list = list(n_list)
     if any(b > a2 for a2, b in zip(n_list[1:], n_list)):
@@ -189,21 +256,14 @@ def korovkin_harness(a, stancu, n_list, grid_xs, query=None, eps_list=(), weight
     xs = np.asarray(grid_xs, dtype=float)
 
     report = KorovkinReport(a=a, n_list=n_list)
-    cache = {}
-
-    def e(i, k):
-        if k not in cache:
-            cache[k] = _monomial_error(a, stancu, k, xs)
-        return cache[k][i]
-
-    for n in n_list:
-        report.qn.append(qn_sequence(a, n))
+    report.qn = [qn_sequence(a, n) for n in n_list]
+    errors = _monomial_errors(a, stancu, np.array(n_list, dtype=np.int64), xs)
     for i in range(3):
-        report.errors[i] = [e(i, n) for n in n_list]
-    for eps in eps_list:
-        for i in range(3):
-            traj = weighted_trajectory(
-                lambda k, i=i: e(i, k), 0.0, eps, query, weights, n_list
-            )
-            report.densities[(i, eps)] = traj
+        report.errors[i] = errors[:, i].tolist()
+    if eps_list:
+        trajs = _exceedances(
+            lambda ks: _monomial_errors(a, stancu, ks, xs), eps_list, query, weights, n_list
+        )
+        keys = [(i, eps) for eps in eps_list for i in range(3)]
+        report.densities.update(zip(keys, trajs))
     return report

@@ -1,9 +1,12 @@
 """Scalar reference paths that the tests compare the batched package against."""
 
+import numpy as np
+
 from qapprox.basis import basis_row
 from qapprox.durrmeyer import finite_inner
 from qapprox.funcreg import builtin
 from qapprox.qcore import jackson_integral, q_binomial, q_integer
+from qapprox.statconv import window
 
 
 def direct_basis(n, k, q, x):
@@ -28,3 +31,41 @@ def registry_samples():
     """A small cross-section of registry functions for property tests."""
     names = ("const:2", "id", "square", "absdev:0.5", "absdev:0.3", "expdec", "sin:3")
     return [builtin(name) for name in names]
+
+
+def _at(seq, k):
+    """An index sequence at the single index k, through its array contract."""
+    return np.broadcast_to(seq(np.array([k], dtype=np.int64)), (1,))[0]
+
+
+def empirical_density(query, n):
+    """|K intersect P_n| / |P_n|^gamma, one membership call per index."""
+    win = window(query.pair, n)
+    count = sum(1 for k in win if _at(query.members, k))
+    return count / float(len(win)) ** query.gamma
+
+
+def weighted_trajectory(x, ell, eps, query, weights, n_list):
+    """|{k in P_n : s_k |x_k - ell| >= eps}| / S_n^gamma, each window summed in index order."""
+    out = []
+    for n in n_list:
+        sn = 0.0
+        count = 0
+        for k in window(query.pair, n):
+            sk = float(_at(weights.s, k))
+            sn += sk
+            if sk * abs(float(_at(x, k)) - ell) >= eps:
+                count += 1
+        out.append(count / sn**query.gamma)
+    return out
+
+
+def weighted_mean(x, weights, query, n):
+    """S_n^(-gamma) sum_{k in P_n} s_k x_k, summed in index order."""
+    sn = 0.0
+    acc = 0.0
+    for k in window(query.pair, n):
+        sk = float(_at(weights.s, k))
+        sn += sk
+        acc += sk * float(_at(x, k))
+    return acc / sn**query.gamma

@@ -10,7 +10,6 @@ import statistics
 import time
 
 import numpy as np
-import pytest
 from click.testing import CliRunner
 
 from qapprox.analysis import (
@@ -157,13 +156,10 @@ def test_criterion_08_basis_inequality():
 
 
 def test_criterion_09_density_engine():
+    squares = lambda k: np.isin(k, np.arange(math.isqrt(int(k.max())) + 1) ** 2)
     mult3 = empirical_density(DensityQuery(members=lambda k: k % 3 == 0), 10**5)
-    sq1 = empirical_density(
-        DensityQuery(gamma=1.0, members=lambda k: math.isqrt(k) ** 2 == k), 10**4
-    )
-    sq_half = empirical_density(
-        DensityQuery(gamma=0.5, members=lambda k: math.isqrt(k) ** 2 == k), 10**4
-    )
+    sq1 = empirical_density(DensityQuery(gamma=1.0, members=squares), 10**4)
+    sq_half = empirical_density(DensityQuery(gamma=0.5, members=squares), 10**4)
     ok = abs(mult3 - 1.0 / 3.0) <= 1e-4 and sq1 == 0.01 and sq_half == 1.0
     assert report(9, "density engine", ok), (mult3, sq1, sq_half)
 

@@ -1,9 +1,11 @@
 import json
+import math
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qapprox.cli import main
+from qapprox.cli import _index_set, main
 
 
 @pytest.fixture
@@ -110,6 +112,47 @@ def test_density_examples(runner):
         assert result.exit_code == 2
 
 
+DENSITY_NS = [1, 2, 3, 4, 10, 262143, 262144, 262145, 10**6]
+
+
+def _prime_flags(n):
+    """Primality of 0..n by the plain sieve of Eratosthenes."""
+    flags = np.ones(n + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return flags
+
+
+@pytest.mark.parametrize("name", ["squares", "primes", "multiples:1", "multiples:7"])
+def test_density_sets_give_exact_counts(runner, name):
+    result = runner.invoke(
+        main, ["density", "--set", name, "--n", ",".join(map(str, DENSITY_NS))]
+    )
+    assert result.exit_code == 0
+    _, rows = parse_csv(result.output)
+    prime_counts = np.cumsum(_prime_flags(max(DENSITY_NS)))
+    for n, row in zip(DENSITY_NS, rows):
+        if name == "squares":
+            count = math.isqrt(n)
+        elif name == "primes":
+            count = int(prime_counts[n])
+        else:
+            count = n // int(name.partition(":")[2])
+        assert row[:3] == [str(n), "1", str(n)]
+        assert float(row[-1]) == count / n
+
+
+def test_square_set_at_large_roots():
+    squares = _index_set("squares")
+    for r in (2**26 - 1, 2**26, 2**26 + 1, 2**31 - 2, 2**31 - 1):
+        k = np.array([r * r - 1, r * r, r * r + 1], dtype=np.int64)
+        assert squares(k).tolist() == [False, True, False]
+    k = np.arange(-3, 10**4, dtype=np.int64)
+    assert squares(k).tolist() == [v >= 0 and math.isqrt(v) ** 2 == v for v in k.tolist()]
+
+
 def test_fixed_value(runner):
     result = runner.invoke(main, ["fixed", "--q", "0.5", "--f", "id", "--grid", "101"])
     assert result.exit_code == 0
@@ -161,6 +204,15 @@ def test_korovkin_columns(runner):
     assert header[:5] == ["n", "qn", "e0", "e1", "e2"]
     assert any(c.startswith("dens1_eps") for c in header)
     assert len(rows) == 2
+
+
+@pytest.mark.parametrize("eps_list", ["nan", "inf", "0.05,nan"])
+def test_korovkin_rejects_non_finite_eps(runner, eps_list):
+    result = runner.invoke(
+        main, ["korovkin", "--a", "0.5", "--n-list", "20,40", "--grid", "21", "--eps-list", eps_list]
+    )
+    assert result.exit_code == 2
+    assert "eps must be finite and positive" in result.output
 
 
 def test_expression_f_argument(runner):

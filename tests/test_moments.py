@@ -9,6 +9,7 @@ from qapprox.moments import (
     MONOMIALS,
     central_moments,
     finite_moment,
+    finite_moment_at,
     limit_moment,
     verify_moments,
 )
@@ -55,6 +56,19 @@ def test_moment_consistency_with_series(spec):
             assert finite_moment(spec, j, x) == pytest.approx(
                 apply(spec, mono, x), abs=1e-9
             )
+
+
+def test_finite_moment_at_evaluates_a_sequence_of_specs():
+    # one call over the column of (n, q) pairs of the q < 1 specs against
+    # one finite_moment call per spec
+    specs = [s for s in FINITE_SPECS if s.q < 1.0 and s.stancu == StancuParams(1.0, 2.0)]
+    ns = np.array([[s.n] for s in specs])
+    qs = np.array([[s.q] for s in specs])
+    xs = np.array(XS)
+    for j in range(3):
+        got = np.broadcast_to(finite_moment_at(ns, qs, StancuParams(1.0, 2.0), j, xs), (len(specs), len(xs)))
+        want = np.array([finite_moment(s, j, xs) for s in specs])
+        assert np.allclose(got, want, rtol=4e-16, atol=0.0)
 
 
 @pytest.mark.parametrize("spec", FINITE_SPECS, ids=str)

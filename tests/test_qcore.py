@@ -25,6 +25,13 @@ def test_q_integer_examples():
     assert q_integer(3, 0.5) == pytest.approx(1.75, abs=1e-15)
     assert q_integer(5, 1.0) == 5.0
     assert q_integer(0, 0.7) == 0.0
+    # arrays broadcast: rows of n against columns of q
+    got = q_integer(np.array([0, 1, 3, 10]), np.array([[0.5], [0.9]]))
+    want = [[q_integer(n, q) for n in (0, 1, 3, 10)] for q in (0.5, 0.9)]
+    assert np.allclose(got, want, rtol=4e-16, atol=0.0)
+    for n, q in ((np.array([1, -1]), 0.5), (np.array([1, 2]), 1.0), (3, np.array([0.5, 0.0]))):
+        with pytest.raises(ValueError):
+            q_integer(n, q)
 
 
 def test_q_factorial_examples():
