@@ -17,6 +17,12 @@ The shift convention is fixed throughout: varpi enters numerators and
 vartheta denominators, so the limit operator really is the large-n limit of
 the finite one (an acceptance test at n = 60 arbitrates this).
 
+At q = 1 the coefficient integral is an ordinary one, computed by an
+adaptive Gauss-Lobatto rule over [0, 1] (_classical_integrals): every
+round bisects all unconverged intervals and evaluates f and the basis once
+on the nodes of all halves.  Its tolerance is rel_eps max|f| and its node
+cap max_terms, both from the spec's TruncationPolicy.
+
 Limit-side quantities are computed in log space.  Writing
 c_k = prod_{i=1}^k (1 - q^i) (so c_k = (1-q)^k [k]_q!), the Jackson sum of
 the coefficient integral collapses to
@@ -31,7 +37,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 from . import basis
 from .qcore import (
@@ -127,11 +132,7 @@ def finite_coefficients(spec, f):
     n = spec.n
     qv = as_q(spec.q)
     if qv == 1.0:
-        # classical integral: one adaptive rule over the vector of all k
-        def integrand(t):
-            return _finite_values(f, finite_inner(spec, t)) * basis.basis_row(n, qv, t)
-
-        integral, _ = integrate.quad_vec(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13)
+        integral = _classical_integrals(spec, f)
     else:
         policy = spec.policy
         J = int(math.ceil(math.log(policy.rel_eps) / math.log(qv))) + 3
@@ -148,6 +149,83 @@ def finite_coefficients(spec, f):
         raise NumericError(f"finite coefficients n={n}, q={qv}: q^-k overflows a float")
     out.flags.writeable = False
     return out
+
+
+# The rule of the classical integrals on each interval: 10-point Gauss-Lobatto
+# on [0, 1], that is both ends and the roots of P_9' mapped from [-1, 1],
+# with weights 1 / (90 P_9(x)^2), correctly rounded; symmetric about 1/2.
+_HALF_T = np.array([0.0, 0.04023304591677059, 0.13061306744724746, 0.26103752509477773,
+                    0.4173605211668065])
+_HALF_W = np.array([1.0 / 90.0, 0.06665299542553506, 0.11244467103156322, 0.1460213418398419,
+                    0.16376988059194872])
+_RULE_T = np.concatenate((_HALF_T, 1.0 - _HALF_T[::-1]))
+_RULE_W = np.concatenate((_HALF_W, _HALF_W[::-1]))
+_RULE_NODES = len(_RULE_T)
+_MIN_WIDTH = 2.0**-45  # the narrowest halves
+
+
+def _classical_integrals(spec, f):
+    """int_0^1 f(finite_inner(spec, t)) p_nk(1; t) dt for k = 0..n, by an
+    adaptive Gauss-Lobatto rule batched over intervals.
+
+    Each round bisects every live interval and calls f once on the nodes of
+    all halves.  A parent's error estimate is ||I_left + I_right - I_parent||
+    (max over k); tol = rel_eps max|f|.  A parent is done when its estimate
+    is at most tol times its width, or when its halves are _MIN_WIDTH wide.
+    The rule ends once the estimates of the parents not done sum to at most
+    tol / (16 (n + 1)), each counted as no less than a quarter of its own
+    parent's: near a kink the estimates fall as width^2 on average but
+    scatter widely about that, and where rounding in f sets them, they stop
+    falling.  Done parts are added in round order, ascending t.  Nodes count
+    against max_terms, and so do the entries of the live estimates, which
+    bounds the working set.
+
+    The nodes include both ends of an interval.  A Gauss-Legendre rule has
+    none there, and a kink between an end and the nearest node is then
+    missed by the parent and both halves alike.
+    """
+    n, policy = spec.n, spec.policy
+    width = 1.0
+    lo = np.zeros(1)
+    parents, f_max = _rule_sums(spec, f, lo, width)
+    prior = np.zeros(1)  # a quarter of the parent's estimate, per live interval
+    used = _RULE_NODES
+    total = np.zeros(n + 1)
+    while len(lo):
+        width /= 2.0
+        lo = np.column_stack((lo, lo + width)).ravel()  # the halves, ascending
+        used += len(lo) * _RULE_NODES
+        if used > policy.max_terms or len(lo) * (n + 1) > policy.max_terms:
+            raise SeriesLimitError("classical coefficient rule exceeds max_terms")
+        halves, top = _rule_sums(spec, f, lo, width)
+        f_max = max(f_max, top)
+        tol = policy.rel_eps * f_max
+        pairs = halves[0::2] + halves[1::2]
+        err = np.max(np.abs(pairs - parents), axis=1)
+        done = (err <= tol * 2.0 * width) | (width <= _MIN_WIDTH)
+        if np.sum(np.maximum(err, prior)[~done]) <= tol / (16.0 * (n + 1)):
+            done[:] = True
+        total += pairs[done].sum(axis=0)
+        live = np.repeat(~done, 2)
+        lo, parents, prior = lo[live], halves[live], np.repeat(err[~done] / 4.0, 2)
+    return total
+
+
+def _rule_sums(spec, f, lo, width):
+    """Rule sums of f(finite_inner(spec, t)) p_nk(1; t) over each interval
+    [lo_i, lo_i + width], one row per interval, and max|f| at the nodes.
+    Blocks of intervals keep rows x (n + 1) within BLOCK_ENTRIES."""
+    n = spec.n
+    t = (lo[:, None] + width * _RULE_T).ravel()
+    fv = _finite_values(f, finite_inner(spec, t))
+    fw = (width * _RULE_W) * fv.reshape(len(lo), _RULE_NODES)
+    out = np.empty((len(lo), n + 1))
+    step = max(1, BLOCK_ENTRIES // ((n + 1) * _RULE_NODES))
+    for i in range(0, len(lo), step):
+        rows = basis.basis_matrix(n, 1.0, t[i * _RULE_NODES : (i + step) * _RULE_NODES])
+        rows = rows.reshape(-1, _RULE_NODES, n + 1)
+        out[i : i + step] = np.einsum("ij,ijk->ik", fw[i : i + step], rows)
+    return out, float(np.max(np.abs(fv)))
 
 
 def apply_finite(spec, f, x):

@@ -1,6 +1,11 @@
 """Scalar reference paths that the tests compare the batched package against."""
 
+import math
+import warnings
+from functools import lru_cache
+
 import numpy as np
+from scipy import integrate
 
 from qapprox.basis import basis_row
 from qapprox.durrmeyer import finite_inner
@@ -25,6 +30,27 @@ def coefficient_finite(spec, k, f):
         return f(finite_inner(spec, t)) * basis_row(n, q, q * t)[k]
 
     return q_integer(n + 1, q) * q ** (-k) * jackson_integral(integrand, q, spec.policy)
+
+
+def classical_coefficients(spec, f, kinks=()):
+    """A_nk(f) at q = 1, k = 0..n: scipy quad per k on the direct basis
+    C(n,k) t^k (1-t)^(n-k), with the points where finite_inner(spec, t) meets
+    a kink of f (a value in kinks) as breakpoints."""
+    n, stancu = spec.n, spec.stancu
+    points = [((n + stancu.vartheta) * c - stancu.varpi) / n for c in kinks]
+    points = [t for t in points if 0.0 < t < 1.0] or None
+    f_inner = lru_cache(maxsize=None)(lambda t: float(f(finite_inner(spec, t))))
+
+    def integrand(t, k):
+        return f_inner(t) * math.comb(n, k) * t**k * (1.0 - t) ** (n - k)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        return np.array([
+            (n + 1) * integrate.quad(integrand, 0.0, 1.0, args=(k,), points=points,
+                                     epsabs=1e-16, epsrel=1e-14, limit=200)[0]
+            for k in range(n + 1)
+        ])
 
 
 def registry_samples():

@@ -226,15 +226,31 @@ def test_expression_f_argument(runner):
     assert float(rows[1][1]) == pytest.approx(2.0, abs=1e-10)
 
 
-def test_output_file_and_repeatability(runner, tmp_path):
+@pytest.mark.parametrize("q, f", [("0.8", "sin(3*t)"), ("1", "abs(t-0.37)")])
+def test_output_file_and_repeatability(runner, tmp_path, q, f):
     args = [
-        "eval", "--n", "5", "--q", "0.8", "--varpi", "1", "--vartheta", "2",
-        "--f", "sin(3*t)", "--grid", "33",
+        "eval", "--n", "5", "--q", q, "--varpi", "1", "--vartheta", "2",
+        "--f", f, "--grid", "33",
     ]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert runner.invoke(main, args + ["--out", str(a)]).exit_code == 0
     assert runner.invoke(main, args + ["--out", str(b)]).exit_code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_eval_classical_takes_the_series_options(runner, tmp_path):
+    args = ["eval", "--n", "5", "--q", "1", "--f", "abs(t-0.37)", "--grid", "11"]
+    capped = runner.invoke(main, args + ["--max-terms", "50"])
+    assert capped.exit_code == 3
+    assert "numeric error" in capped.stderr
+    values = []
+    for name, extra in (("default", []), ("loose", ["--rel-eps", "1e-4"])):
+        path = tmp_path / f"{name}.csv"
+        assert runner.invoke(main, args + extra + ["--out", str(path)]).exit_code == 0
+        values.append([float(v) for _, v in parse_csv(path.read_text())[1]])
+    default, loose = values
+    assert default != loose
+    assert np.allclose(default, loose, rtol=0.0, atol=1e-4)
 
 
 @pytest.mark.parametrize("operator", [["--n", "3"], ["--limit"]])

@@ -3,8 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import coefficient_finite, direct_basis, registry_samples
+from oracles import classical_coefficients, coefficient_finite, direct_basis, registry_samples
 from qapprox.analysis import GridSpec
 from qapprox.basis import INFINITE, basis_row, limit_basis, log_limit_row
 from qapprox.durrmeyer import (
@@ -18,6 +19,8 @@ from qapprox.durrmeyer import (
     limit_coefficients,
     limit_inner,
     _limit_slot,
+    _RULE_T,
+    _RULE_W,
 )
 from qapprox.funcreg import from_expression, resolve
 from qapprox.moments import finite_moment, limit_moment
@@ -320,3 +323,107 @@ def test_apply_limit_working_set_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+KINKED = [  # (f, the values where f has a kink)
+    ("abs(t-0.37)", [0.37]),
+    ("abs(t-0.5)", [0.5]),
+    ("abs(t-0.81)", [0.81]),
+    ("sqrt(t)", []),
+    ("sqrt(abs(t-0.5))", [0.5]),
+    ("sin(40*t)", []),
+]
+SMOOTH = [  # with abs(t-c), one member of each benchmark family
+    ("0.25+(-1.5)*t+(2.0)*t^2", []),
+    ("sin(3.7*t)", []),
+    ("exp(-2.5*t)*t^2", []),
+]
+CLASSICAL_CASES = (
+    [(f, kinks, n) for f, kinks in KINKED for n in (1, 5, 40)]
+    + [(f, kinks, n) for f, kinks in SMOOTH for n in (5, 20, 40)]
+    + [("abs(t-0.37)", [0.37], 20)]
+)
+
+
+@pytest.mark.parametrize(
+    "stancu", [StancuParams(), StancuParams(1.0, 2.0)], ids=["plain", "shifted"]
+)
+@pytest.mark.parametrize(
+    "src, kinks, n", CLASSICAL_CASES, ids=[f"{f}-{n}" for f, _, n in CLASSICAL_CASES]
+)
+def test_classical_coefficients_match_kink_split_reference(src, kinks, n, stancu):
+    spec = OperatorSpec(n, 1.0, stancu)
+    f = from_expression(src)
+    want = classical_coefficients(spec, f, kinks)
+    got = finite_coefficients(spec, f)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_classical_rule_is_the_10_point_gauss_lobatto_rule():
+    p = np.polynomial.legendre.Legendre.basis(9)
+    x = np.concatenate(([-1.0], p.deriv().roots(), [1.0]))
+    assert np.allclose(_RULE_T, (x + 1.0) / 2.0, rtol=0.0, atol=2e-15)
+    assert np.allclose(_RULE_W, 1.0 / (90.0 * p(x) ** 2), rtol=0.0, atol=2e-15)
+    for j in range(18):  # exact up to degree 2 * 10 - 3
+        assert _RULE_W @ _RULE_T**j == pytest.approx(1.0 / (j + 1), rel=1e-15)
+
+
+def test_classical_rule_calls_f_once_per_round():
+    sizes = []
+
+    def f(t):
+        sizes.append(len(t))
+        return abs(t - 0.37)
+
+    spec = OperatorSpec(40, 1.0, StancuParams(1.0, 2.0))
+    got = finite_coefficients(spec, f)
+    want = classical_coefficients(spec, lambda t: abs(t - 0.37), [0.37])
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert len(sizes) <= 64 and min(sizes) > 1
+
+
+def test_classical_operator_at_the_largest_float_degree():
+    spec = OperatorSpec(1029, 1.0, StancuParams(0.5, 1.0))
+    f = lambda t: t * t
+    xs = np.linspace(0.0, 1.0, 11)
+    tracemalloc.start()
+    try:
+        got = apply_finite(spec, f, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert np.allclose(got, finite_moment(spec, 2, xs), rtol=0.0, atol=1e-13)
+    with pytest.raises(NumericError):
+        apply_finite(OperatorSpec(1030, 1.0), f, xs)
+
+
+def test_classical_rule_limits():
+    spec = OperatorSpec(5, 1.0)
+    with pytest.raises(NumericError):
+        finite_coefficients(spec, lambda t: np.where(t > 0.7, np.inf, t))
+    tight = OperatorSpec(5, 1.0, policy=TruncationPolicy(max_terms=50))
+    with pytest.raises(SeriesLimitError):
+        finite_coefficients(tight, resolve("abs(t-0.37)"))
+    # a looser rel_eps stops sooner, within its own tolerance
+    loose = OperatorSpec(5, 1.0, policy=TruncationPolicy(rel_eps=1e-6))
+    f = resolve("abs(t-0.37)")
+    want = classical_coefficients(spec, f, [0.37])
+    got = finite_coefficients(loose, f)
+    assert 0.0 < np.max(np.abs(got - want)) <= 1e-6
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    x=st.floats(0.0, 1.0),
+    shifts=st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0)).map(sorted),
+    c=st.floats(0.0, 1.0),
+)
+def test_classical_operator_properties(n, x, shifts, c):
+    spec = OperatorSpec(n, 1.0, StancuParams(*shifts))
+    assert apply_finite(spec, lambda t: 1.0, x) == pytest.approx(1.0, rel=0.0, abs=1e-13)
+    for j, f in ((1, lambda t: t), (2, lambda t: t * t)):
+        want = finite_moment(spec, j, x)
+        assert apply_finite(spec, f, x) == pytest.approx(want, rel=0.0, abs=1e-13)
+    assert apply_finite(spec, lambda t: abs(t - c), x) >= 0.0
