@@ -27,7 +27,10 @@ def _euler_table(qv):
     """Prefix log-products logc[k] = log prod_{i=1}^{k} (1 - q^i), read-only.
 
     The sequence converges; entries past the convergence index reuse the
-    limiting value.  Returns (logc array, log of the infinite product).
+    limiting value.  Returns (logc array, log of the infinite product, the
+    rounding residual of each logc entry): the prefix sums are accumulated
+    in extended precision, and logc + residual keeps it, so differences of
+    entries near log c_inf need not cancel in float64.
     """
     if qv >= 1.0:
         raise ValueError("Euler product requires q < 1")
@@ -35,17 +38,27 @@ def _euler_table(qv):
     logs = np.log1p(-(qv ** np.arange(1, i_max + 1)))
     # a float64 running sum drifts by ~1e-12 over the 3e4 terms of q = 0.999,
     # which skews the limit basis weights across k; extended precision does not
-    logc = np.concatenate(([0.0], np.cumsum(logs.astype(np.longdouble)).astype(float)))
+    exact = np.zeros(i_max + 1, dtype=np.longdouble)
+    np.cumsum(logs, dtype=np.longdouble, out=exact[1:])
+    del logs
+    logc = exact.astype(float)
+    exact -= logc
+    residual = exact.astype(float)  # exact: at most 11 bits
     logc.flags.writeable = False
-    return logc, float(logc[-1])
+    residual.flags.writeable = False
+    return logc, float(logc[-1]), residual
+
+
+def _padded(row, K):
+    """Entries 0..K of a table that converges, its last entry repeated past its end."""
+    if K < len(row):
+        return row[: K + 1]
+    return np.concatenate((row, np.full(K + 1 - len(row), row[-1])))
 
 
 def _log_c_row(qv, K):
     """log c_k = log prod_{i=1}^{k} (1 - q^i) for k = 0..K."""
-    logc, logc_inf = _euler_table(qv)
-    if K < len(logc):
-        return logc[: K + 1]
-    return np.concatenate((logc, np.full(K + 1 - len(logc), logc_inf)))
+    return _padded(_euler_table(qv)[0], K)
 
 
 def basis_matrix(n, q, xs):
@@ -122,7 +135,7 @@ def log_limit_basis(k, q, x, policy=DEFAULT_POLICY):
     qv, log_pi = _limit_point(q, x, policy)
     if x == 0.0:
         return 0.0 if k == 0 else -math.inf
-    logc, logc_inf = _euler_table(qv)
+    logc, logc_inf, _ = _euler_table(qv)
     return float(k * math.log(x) + log_pi - (logc[k] if k < len(logc) else logc_inf))
 
 

@@ -240,10 +240,17 @@ def cmd_ineq(n, q, grid_points, tol, out, fmt, rel_eps, max_terms):
 def _squares(k):
     """Perfect squares among the int64 indices k: floor(sqrt(k)) with a
     one-step correction, so the root is exact wherever r^2 fits in int64."""
-    r = np.sqrt(np.maximum(k, 0)).astype(np.int64)  # truncation is floor here
-    r -= r * r > k
-    r += (r + 1) * (r + 1) <= k
-    return (k >= 0) & (r * r == k)
+    root = np.maximum(k, 0.0)
+    np.sqrt(root, out=root)
+    r = root.astype(np.int64)  # truncation is floor here
+    del root
+    sq = r * r  # corrected in place: one int64 block besides r
+    r -= sq > k
+    np.add(r, 1, out=sq)
+    sq *= sq
+    r += sq <= k
+    np.multiply(r, r, out=sq)
+    return (k >= 0) & (sq == k)
 
 
 def _primes(k):

@@ -23,13 +23,21 @@ round bisects all unconverged intervals and evaluates f and the basis once
 on the nodes of all halves.  Its tolerance is rel_eps max|f| and its node
 cap max_terms, both from the spec's TruncationPolicy.
 
-Limit-side quantities are computed in log space.  Writing
-c_k = prod_{i=1}^k (1 - q^i) (so c_k = (1-q)^k [k]_q!), the Jackson sum of
-the coefficient integral collapses to
+For q < 1 both operators' coefficients are Jackson sums over the nodes
+t_j = q^j, computed in log space by one windowed kernel.  Writing
+c_k = prod_{i=1}^k (1 - q^i) (so c_k = (1-q)^k [k]_q!), they collapse to
 
+    A_{nk}(f) = sum_j w_kj f(inner(q^j)) / sum_j w_kj,
+        w_kj = q^{j(k+1)} c_{j+n-k} / c_j,
     A_k(f) = sum_{j>=0} q^{j(k+1)} f(inner(q^j)) c_inf / (c_j c_k),
 
-whose terms all lie in [0, 1]; c_k itself underflows for q close to 1.
+with A_{nk}(1) = 1 supplying the normaliser of the finite weights; the
+terms of A_k all lie in [0, 1].  c_k itself underflows for q close to 1,
+and the factor q^{-k} of the finite form overflows a float from
+n log10(1/q) > 308, so neither is formed.  Each k sums only the node
+window where its log weight, concave in j, is within log(rel_eps / J) of
+the top, and blocks of rows with overlapping windows are exponentiated
+and contracted together.
 """
 
 import math
@@ -37,6 +45,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import basis
 from .qcore import (
@@ -115,10 +124,13 @@ def _shaped(vals, x):
     return float(vals[0]) if np.ndim(x) == 0 else vals.reshape(np.shape(x))
 
 
-# Rows of p_nk built and contracted at a time, on the Jackson-node side and
-# on the grid side alike; bounds the working set at about BLOCK * (n + 1) floats.
+# Rows of p_nk built and contracted at a time on the grid side; bounds the
+# working set at about BLOCK * (n + 1) floats.
 BLOCK = 256
-BLOCK_WIDEN = 2  # a block of limit-side rows spans at most this many times its narrowest window
+BLOCK_WIDEN = 2  # a block of rows spans at most this many times its narrowest window
+# Finite coefficients with (n + 1) x J up to this many weights are one dense
+# block: below it, finding the node windows costs more than the exponentials
+DENSE_ENTRIES = 32 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -132,23 +144,66 @@ def finite_coefficients(spec, f):
     n = spec.n
     qv = as_q(spec.q)
     if qv == 1.0:
-        integral = _classical_integrals(spec, f)
+        out = q_integer(n + 1, qv) * _classical_integrals(spec, f)
     else:
-        policy = spec.policy
-        J = int(math.ceil(math.log(policy.rel_eps) / math.log(qv))) + 3
-        if J > policy.max_terms:
-            raise SeriesLimitError("finite coefficient node count exceeds max_terms")
-        t_nodes = qv ** np.arange(J)
-        fw = (1.0 - qv) * t_nodes * _finite_values(f, finite_inner(spec, t_nodes))
-        integral = np.zeros(n + 1)
-        for i in range(0, J, BLOCK):
-            integral += fw[i : i + BLOCK] @ basis.basis_matrix(n, qv, qv * t_nodes[i : i + BLOCK])
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below, as a typed error
-        out = q_integer(n + 1, qv) * qv ** (-np.arange(n + 1, dtype=float)) * integral
-    if not np.all(np.isfinite(out)):
-        raise NumericError(f"finite coefficients n={n}, q={qv}: q^-k overflows a float")
+        out = _jackson_coefficients(spec, f)
     out.flags.writeable = False
     return out
+
+
+def _jackson_coefficients(spec, f):
+    """A_{nk}(f) for q < 1 as normalised windowed Jackson sums.
+
+    At the nodes t_j = q^j, q^-k p_nk(q; q t_j) q^j is C(n,k)_q times
+    w_kj = q^{(k+1) j} c_{j+n-k} / c_j, and A_nk(1) = 1, so
+    A_nk(f) = sum_j w_kj f_j / sum_j w_kj over the nodes j < J.  log w_kj is
+    concave in j with its peak at the least j >= 0 where
+    q^(j+1) (1 - q^(n+1)) <= 1 - q^(k+1); each k sums the node window where
+    it is at least rel_eps / J of that peak (all J nodes when (n + 1) J is
+    at most DENSE_ENTRIES).  The differences log c_{j+n-k} - log c_j come
+    from the extended-precision prefix table.
+    """
+    n, qv, policy = spec.n, as_q(spec.q), spec.policy
+    lnq = math.log(qv)
+    J = int(math.ceil(math.log(policy.rel_eps) / lnq)) + 3
+    if J > policy.max_terms:
+        raise SeriesLimitError("finite coefficient node count exceeds max_terms")
+    log_c, _, residual = basis._euler_table(qv)
+    log_c, residual = basis._padded(log_c, J + n - 1), basis._padded(residual, J + n - 1)
+    m = n - np.arange(n + 1)
+    rates = np.arange(1, n + 2) * lnq
+    ratio = np.expm1(rates) / math.expm1((n + 1) * lnq)
+    peak = np.clip(np.ceil(np.log(ratio) / lnq) - 1.0, 0, J - 1).astype(int)
+
+    def log_w(j):
+        return j * rates + log_c[j + m] - log_c[j]
+
+    top = log_w(peak)
+    if (n + 1) * J <= DENSE_ENTRIES:
+        lo, hi = np.zeros_like(peak), np.full_like(peak, J)
+    else:
+        lo, hi = _node_windows(log_w, peak, top + math.log(policy.rel_eps / J), J)
+    t_nodes = qv ** np.arange(hi.max())
+    f_one = np.column_stack((_finite_values(f, finite_inner(spec, t_nodes)), np.ones(len(t_nodes))))
+    blocks = list(_blocks(lo, hi))
+    out = np.empty(n + 1)
+    buf, g = np.empty((2, max((ks.stop - ks.start) * (b - a) for ks, a, b in blocks)))
+    for ks, a, b in blocks:
+        # log c_{j+m} - log c_j for j in [a, b), from Hankel views of the
+        # float parts and of their residuals; subtracting the float parts
+        # first keeps the size of log c out of the rounding
+        rows = slice(a + m[ks.stop - 1], b + m[ks.start])
+        d = g[: (ks.stop - ks.start) * (b - a)].reshape(-1, b - a)
+        np.subtract(_hankel(log_c[rows], b - a)[::-1], log_c[a:b], out=d)
+        d += _hankel(residual[rows], b - a)[::-1]
+        d -= residual[a:b]
+        out[ks] = _jackson_block(buf, d, f_one, top[ks], rates[ks], a, b)
+    return out
+
+
+def _hankel(table, width):
+    """The rows table[i : i + width], every i, as one read-only strided view."""
+    return as_strided(table, (len(table) - width + 1, width), table.strides * 2, writeable=False)
 
 
 # The rule of the classical integrals on each interval: 10-point Gauss-Lobatto
@@ -271,46 +326,47 @@ def limit_coefficients(spec, f, k_max):
     g = basis._euler_table(qv)[1] - basis._log_c_row(qv, J - 1)  # log prod_{i>j}(1-q^i)
     lc = basis._log_c_row(qv, k_max)
     rates = np.arange(1, k_max + 2) * lnq
-    lo, hi = _node_windows(t_nodes, g, lc, rates, math.log(policy.rel_eps / J))
+    # e_k(j+1) - e_k(j) = rate_k - log(1 - q^(j+1)): the peak is the first j
+    # where that step is not positive
+    peak = np.searchsorted(np.log1p(-t_nodes[1:]), rates)
+    lo, hi = _node_windows(lambda j: j * rates + g[j], peak, lc + math.log(policy.rel_eps / J), J)
     out = np.empty(k_max + 1)
     buf = np.empty(max(BLOCK_ENTRIES, J))  # reused: a fresh block of pages costs as much as its exp
     for ks, a, b in _blocks(lo, hi):
-        out[ks] = _jackson_block(buf, g, f_one, lc[ks], rates[ks], a, b)
+        out[ks] = _jackson_block(buf, g[a:b], f_one, lc[ks], rates[ks], a, b)
     out.flags.writeable = False
     slot[0] = out
     return out
 
 
-def _node_windows(t_nodes, g, lc, rates, log_cut):
-    """Per k, the node interval [lo_k, hi_k) where e_k(j) >= log_cut.
+def _node_windows(log_w, peak, cut, J):
+    """Per row r, the node interval [lo_r, hi_r) around peak_r where
+    log_w(j)_r >= cut_r, with j < J.
 
-    e_k(j) = j rate_k + g_j - lc_k is concave in j (the steps of g shrink),
-    so the interval is one run around its peak, the first j whose next step
-    is not positive; the peak itself is always kept.  Both ends fall as k
-    grows, since e_{k+1} - e_k decreases in j.
+    log_w (an array of j per row in, one value per row out; also a pair of
+    such arrays) must be concave in j with its maximum at peak, so the
+    interval is one run around it; the peak itself is always kept.  One
+    bisection finds both ends: the first j in [0, peak) with log_w(j) >= cut
+    and the first j in [peak + 1, J) with log_w(j) < cut.
     """
-    # e_k(j+1) - e_k(j) = rate_k - log(1 - q^(j+1))
-    peak = np.searchsorted(np.log1p(-t_nodes[1:]), rates)
-    cut = lc + log_cut
-
-    def below(j):
-        return j * rates + g[j] < cut
-
-    lo = _first_true(lambda j: ~below(j), np.zeros_like(peak), peak)
-    hi = _first_true(below, peak + 1, np.full_like(peak, len(t_nodes)))
+    rising = np.array([[True], [False]])
+    start = np.stack((np.zeros_like(peak), peak + 1))
+    stop = np.stack((peak, np.full_like(peak, J)))
+    lo, hi = _first_true(lambda j: (log_w(j) < cut) != rising, start, stop)
     return lo, hi
 
 
 def _first_true(test, lo, hi):
     """Per entry, the least j in [lo, hi) with test(j) true, else hi; test(j)
     must be false, then true, along each entry's range (bisection)."""
-    while np.any(lo < hi):
+    while True:
         open_ = lo < hi
+        if not open_.any():
+            return lo
         mid = np.minimum((lo + hi) // 2, hi - 1)  # (lo + hi) // 2 on open entries
         t = test(mid)
         hi = np.where(open_ & t, mid, hi)
         lo = np.where(open_ & ~t, mid + 1, lo)
-    return lo
 
 
 def _blocks(lo, hi):
@@ -335,12 +391,13 @@ def _blocks(lo, hi):
 
 def _jackson_block(buf, g, f_one, lc, rates, a, b):
     """sum_j w_rj f_one[j] / sum_j w_rj over columns j in [a, b) for a block
-    of rows r, with log w_rj = j rate_r + g_j - lc_r; the exponents are built
-    in place in buf.  For A_k the rows are k and the columns Jackson nodes,
-    and the weight sum is 1 in exact arithmetic since A_k(1) = 1."""
+    of rows r, with log w_rj = j rate_r + g_rj - lc_r; g is one row of
+    b - a entries for all rows, or one per row.  The exponents are built in
+    place in buf.  For A_k the rows are k and the columns Jackson nodes, and
+    the weight sum is the normaliser: A_k(1) = 1."""
     w = buf[: len(lc) * (b - a)].reshape(len(lc), b - a)
     np.multiply(rates[:, None], np.arange(a, b), out=w)
-    w += g[a:b]
+    w += g
     w -= lc[:, None]
     np.exp(w, out=w)
     sums = w @ f_one[a:b]
@@ -380,7 +437,7 @@ def apply_limit(spec, f, x):
     neg_log_c = -basis._log_c_row(qv, len(coeffs) - 1)
     buf = np.empty(max(BLOCK_ENTRIES, len(coeffs)))
     for rows, a, b in _blocks(np.zeros_like(K), K + 1):
-        out[order[rows]] = _jackson_block(buf, neg_log_c, a_one, -log_pi[rows], log_x[rows], a, b)
+        out[order[rows]] = _jackson_block(buf, neg_log_c[a:b], a_one, -log_pi[rows], log_x[rows], a, b)
     return _shaped(out, x)
 
 

@@ -89,11 +89,9 @@ def q_factorial(n, q):
 
 
 def q_binomial(n, k, q):
-    """Gaussian binomial coefficient via the q-Pascal recurrence.
+    """Gaussian binomial coefficient C(n,k)_q, entry k of q_binomial_row.
 
-    Returns 0 for k < 0 or k > n.  The recurrence
-    C(n,k)_q = C(n-1,k-1)_q + q^k C(n-1,k)_q involves only nonnegative
-    additions, so it is numerically stable.
+    Returns 0 for k < 0 or k > n.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -112,16 +110,24 @@ def q_binomial_row(n, q):
 
 @lru_cache(maxsize=4096)
 def _q_binomial_row_cached(n, qv):
-    row = np.array([1.0])
-    with np.errstate(over="ignore"):  # reported below, as a typed error
-        for m in range(1, n + 1):
-            # new[k] = C(m-1,k-1)_q + q^k C(m-1,k)_q
-            new = np.zeros(m + 1)
-            new[1:] = row
-            new[:m] += (qv ** np.arange(m)) * row
-            row = new
-    if not np.all(np.isfinite(row)):
-        raise NumericError(f"Gaussian binomial row n={n}, q={qv} overflows a float")
+    """C(n,k)_q for k <= n // 2 from the ratios C(n,k+1)_q / C(n,k)_q =
+    [n-k]_q / [k+1]_q (one cumulative product; exact integers at q = 1),
+    mirrored by C(n,k)_q = C(n,n-k)_q."""
+    overflow = f"Gaussian binomial row n={n}, q={qv} overflows a float"
+    if qv == 1.0:
+        try:
+            head = np.array([math.comb(n, k) for k in range(n // 2 + 1)], dtype=float)
+        except OverflowError:
+            raise NumericError(overflow) from None
+    else:
+        lnq = math.log(qv)
+        k = np.arange(n // 2)
+        head = np.ones(n // 2 + 1)
+        with np.errstate(over="ignore"):  # reported below, as a typed error
+            np.cumprod(np.expm1((n - k) * lnq) / np.expm1((k + 1) * lnq), out=head[1:])
+        if not np.all(np.isfinite(head)):
+            raise NumericError(overflow)
+    row = np.concatenate((head, head[: n - n // 2][::-1]))
     row.flags.writeable = False
     return row
 

@@ -32,6 +32,30 @@ def coefficient_finite(spec, k, f):
     return q_integer(n + 1, q) * q ** (-k) * jackson_integral(integrand, q, spec.policy)
 
 
+def jackson_coefficients(specs, fs, ks, extra=4000):
+    """A_nk(f) at q < 1 for the k in ks and every (spec, f) pair, the specs
+    sharing n, q and policy: the Jackson sum over every node j < J + extra,
+    J the package's node count, normalised by its own weight sum, with the
+    weights q^{(k+1) j} c_{j+n-k} / c_j formed and summed in extended
+    precision.  One row per k, one column per pair."""
+    n, q = specs[0].n, specs[0].q
+    nodes = math.ceil(math.log(specs[0].policy.rel_eps) / math.log(q)) + 3 + extra
+    q_ext = np.longdouble(q)
+    log_c = np.concatenate(([0], np.cumsum(np.log1p(-(q_ext ** np.arange(1, nodes + n))))))
+    js = np.arange(nodes)
+    t = q**js
+    cols = np.array(
+        [np.broadcast_to(f(finite_inner(spec, t)), t.shape) for spec in specs for f in fs],
+        dtype=np.longdouble,
+    ).T
+    out = []
+    for k in ks:
+        e = (k + 1) * js * np.log(q_ext) + log_c[js + n - k] - log_c[js]
+        w = np.exp(e - e.max())
+        out.append(w @ cols / w.sum())
+    return np.array(out, dtype=float)
+
+
 def classical_coefficients(spec, f, kinks=()):
     """A_nk(f) at q = 1, k = 0..n: scipy quad per k on the direct basis
     C(n,k) t^k (1-t)^(n-k), with the points where finite_inner(spec, t) meets

@@ -6,6 +6,8 @@ import pytest
 from click.testing import CliRunner
 
 from qapprox.cli import _index_set, main
+from qapprox.durrmeyer import OperatorSpec, StancuParams
+from qapprox.moments import finite_moment, limit_moment
 
 
 @pytest.fixture
@@ -266,15 +268,34 @@ def test_eval_classical_beyond_float_binomials_is_a_numeric_error(runner):
     assert result.exit_code == 3
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["eval", "--n", "200", "--q", "0.01", "--f", "t", "--grid", "5"],
-        ["rate", "--q", "0.05", "--n-list", "5..300", "--f", "t", "--grid", "11"],
-    ],
-)
-def test_finite_operator_beyond_float_q_powers_is_a_numeric_error(runner, args):
-    assert runner.invoke(main, args).exit_code == 3
+MONOMIALS = ((0, "const:1"), (1, "t"), (2, "t^2"))
+
+
+@pytest.mark.parametrize("n, q", [(200, 0.01), (2000, 0.5)])
+def test_eval_finite_operator_beyond_float_q_powers(runner, n, q):
+    # q^-k of the integral form overflows a float here; the operator does not
+    spec = OperatorSpec(n, q)
+    for j, src in MONOMIALS:
+        args = ["eval", "--n", str(n), "--q", str(q), "--f", src, "--grid", "5"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        _, rows = parse_csv(result.output)
+        xs, got = np.array(rows, dtype=float).T
+        assert np.allclose(got, finite_moment(spec, j, xs), rtol=0.0, atol=1e-10)
+
+
+def test_rate_finite_operator_beyond_float_q_powers(runner):
+    xs = np.linspace(0.0, 1.0, 11)
+    for j, src in MONOMIALS:
+        args = ["rate", "--q", "0.05", "--n-list", "5..300", "--f", src, "--grid", "11"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        _, rows = parse_csv(result.output)
+        assert [int(row[0]) for row in rows] == list(range(5, 301))
+        limit = limit_moment(0.05, StancuParams(), j, xs)
+        for row in rows:
+            finite = finite_moment(OperatorSpec(int(row[0]), 0.05), j, xs)
+            assert float(row[4]) == pytest.approx(np.max(np.abs(finite - limit)), abs=1e-10)
 
 
 @pytest.mark.parametrize(

@@ -3,9 +3,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import classical_coefficients, coefficient_finite, direct_basis, registry_samples
+from oracles import (
+    classical_coefficients,
+    coefficient_finite,
+    direct_basis,
+    jackson_coefficients,
+    registry_samples,
+)
 from qapprox.analysis import GridSpec
 from qapprox.basis import INFINITE, basis_row, limit_basis, log_limit_row
 from qapprox.durrmeyer import (
@@ -24,7 +30,13 @@ from qapprox.durrmeyer import (
 )
 from qapprox.funcreg import from_expression, resolve
 from qapprox.moments import finite_moment, limit_moment
-from qapprox.qcore import NumericError, SeriesLimitError, TruncationPolicy, q_integer
+from qapprox.qcore import (
+    NumericError,
+    QApproxError,
+    SeriesLimitError,
+    TruncationPolicy,
+    q_integer,
+)
 
 SPECS = [
     OperatorSpec(3, 0.5),
@@ -266,15 +278,15 @@ def test_classical_operator_beyond_float_binomials_is_a_numeric_error():
         apply_finite(OperatorSpec(1200, 1.0), lambda t: t * t, 0.5)
 
 
-def test_finite_coefficients_beyond_float_q_powers_are_a_numeric_error():
-    # A_nk carries q^-k, which overflows once n log10(1/q) > 308
+@pytest.mark.parametrize("n, q", [(1022, 0.5), (1023, 0.5), (2000, 0.5), (600, 0.3), (200, 0.01)])
+def test_finite_operator_beyond_float_q_powers_matches_closed_forms(n, q):
+    # q^-k of the integral form overflows a float once n log10(1/q) > 308;
+    # the normalised Jackson weights never form it
     xs = np.linspace(0.0, 1.0, 11)
-    spec = OperatorSpec(1022, 0.5, StancuParams(0.5, 1.0))
-    got = apply_finite(spec, lambda t: t, xs)
-    assert np.allclose(got, finite_moment(spec, 1, xs), rtol=0.0, atol=1e-14)
-    for n, q in ((1023, 0.5), (600, 0.3), (200, 0.01)):
-        with pytest.raises(NumericError):
-            apply_finite(OperatorSpec(n, q, StancuParams(0.5, 1.0)), lambda t: t, xs)
+    spec = OperatorSpec(n, q, StancuParams(0.5, 1.0))
+    for j, f in ((0, lambda t: 1.0), (1, lambda t: t), (2, lambda t: t * t)):
+        got = apply_finite(spec, f, xs)
+        assert np.allclose(got, finite_moment(spec, j, xs), rtol=0.0, atol=1e-14)
 
 
 def _per_x_limit(spec, f, xs):
@@ -359,6 +371,33 @@ def test_classical_coefficients_match_kink_split_reference(src, kinks, n, stancu
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("q", [0.5, 0.9, 0.99, 0.999])
+@pytest.mark.parametrize("n", [5, 100, 1000])
+def test_finite_coefficients_match_dense_jackson_sum(n, q):
+    specs = [OperatorSpec(n, q), OperatorSpec(n, q, StancuParams(1.0, 2.0))]
+    fs = [from_expression(src) for src, _ in SMOOTH + [("abs(t-0.37)", [0.37])]]
+    ks = np.unique(np.linspace(0, n, min(n + 1, 25)).astype(int))
+    want = jackson_coefficients(specs, fs, ks)
+    got = np.column_stack([finite_coefficients(spec, f)[ks] for spec in specs for f in fs])
+    assert np.all(np.max(np.abs(got - want), axis=0) <= 5e-14 * np.max(np.abs(want), axis=0))
+
+
+def test_finite_coefficients_near_one_working_set_is_bounded():
+    # windowed node blocks, not a (nodes x (n + 1)) matrix: J = 322k here
+    spec = OperatorSpec(1000, 0.9999, StancuParams(0.5, 1.0))
+    square = lambda t: t * t
+    tracemalloc.start()
+    try:
+        finite_coefficients(spec, square)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    xs = np.linspace(0.0, 1.0, 11)
+    for j, f in ((0, lambda t: 1.0), (1, lambda t: t), (2, square)):
+        assert np.allclose(apply_finite(spec, f, xs), finite_moment(spec, j, xs), rtol=0.0, atol=1e-13)
+
+
 def test_classical_rule_is_the_10_point_gauss_lobatto_rule():
     p = np.polynomial.legendre.Legendre.basis(9)
     x = np.concatenate(([-1.0], p.deriv().roots(), [1.0]))
@@ -427,3 +466,27 @@ def test_classical_operator_properties(n, x, shifts, c):
         want = finite_moment(spec, j, x)
         assert apply_finite(spec, f, x) == pytest.approx(want, rel=0.0, abs=1e-13)
     assert apply_finite(spec, lambda t: abs(t - c), x) >= 0.0
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.integers(1, 2000),
+    q=st.floats(0.5, 0.999),
+    x=st.floats(0.0, 1.0),
+    shifts=st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0)).map(sorted),
+    c=st.floats(0.0, 1.0),
+)
+@example(n=1000, q=0.999, x=0.7, shifts=[1.0, 2.0], c=0.37)
+@example(n=2000, q=0.999, x=0.7, shifts=[1.0, 2.0], c=0.37)  # C(n,k)_q overflows
+def test_finite_operator_properties(n, q, x, shifts, c):
+    spec = OperatorSpec(n, q, StancuParams(*shifts))
+    fs = (lambda t: 1.0, lambda t: t, lambda t: t * t, lambda t: abs(t - c))
+    try:
+        values = [apply_finite(spec, f, x) for f in fs]
+    except QApproxError:  # typed, e.g. C(n,k)_q beyond a float near q = 1
+        return
+    assert all(math.isfinite(v) for v in values)
+    assert values[0] == pytest.approx(1.0, rel=0.0, abs=1e-13)
+    for j in (1, 2):
+        assert values[j] == pytest.approx(finite_moment(spec, j, x), rel=0.0, abs=1e-13)
+    assert values[3] >= 0.0

@@ -72,6 +72,24 @@ def test_q_binomial_factorial_identity(q):
             assert q_binomial(n, k, q) == pytest.approx(expect, rel=1e-12)
 
 
+@pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(3, 4)])
+def test_q_binomial_row_against_exact_rows(q):
+    # dyadic q is exact in a float, so the rows are exact rationals; the
+    # cumulative product of ratios stays within a few ulps of them
+    for n in (0, 1, 2, 3, 7, 50, 199, 200):
+        row = [Fraction(1)]
+        for k in range(n):
+            row.append(row[-1] * (1 - q ** (n - k)) / (1 - q ** (k + 1)))
+        got = q_binomial_row(n, float(q))
+        assert len(got) == n + 1
+        assert all(abs(Fraction(g) - r) <= 4e-15 * r for g, r in zip(got.tolist(), row))
+
+
+def test_q_binomial_row_at_q1_is_exact():
+    for n in (0, 1, 6, 7, 50):
+        assert q_binomial_row(n, 1.0).tolist() == [math.comb(n, k) for k in range(n + 1)]
+
+
 @given(
     n=st.integers(min_value=0, max_value=50),
     q=st.floats(min_value=0.01, max_value=1.0, allow_nan=False),
