@@ -103,7 +103,7 @@ def cmd_eval(n, use_limit, q, varpi, vartheta, fsrc, grid_points, out, fmt, rel_
         spec = durrmeyer.OperatorSpec(INFINITE if use_limit else n, q, stancu, policy)
         xs = analysis.GridSpec(grid_points).xs
         vals = durrmeyer.apply(spec, f, xs)
-        return [(float(x), float(v)) for x, v in zip(xs, vals)]
+        return list(zip(xs.tolist(), vals.tolist()))
 
     rows = _run(compute)
     _write(out, fmt, ("x", "value"), rows, meta)
@@ -237,6 +237,9 @@ def cmd_ineq(n, q, grid_points, tol, out, fmt, rel_eps, max_terms):
         sys.exit(EXIT_THRESHOLD)
 
 
+_ROOT_MAX = math.isqrt(2**63 - 1)  # the largest r with r^2 in int64
+
+
 def _squares(k):
     """Perfect squares among the int64 indices k: floor(sqrt(k)) with a
     one-step correction, so the root is exact wherever r^2 fits in int64."""
@@ -247,8 +250,8 @@ def _squares(k):
     sq = r * r  # corrected in place: one int64 block besides r
     r -= sq > k
     np.add(r, 1, out=sq)
-    sq *= sq
-    r += sq <= k
+    sq *= sq  # wraps where r + 1 > _ROOT_MAX, so those r stay
+    r += (sq <= k) & (r < _ROOT_MAX)
     np.multiply(r, r, out=sq)
     return (k >= 0) & (sq == k)
 

@@ -124,9 +124,12 @@ def _shaped(vals, x):
     return float(vals[0]) if np.ndim(x) == 0 else vals.reshape(np.shape(x))
 
 
-# Rows of p_nk built and contracted at a time on the grid side; bounds the
-# working set at about BLOCK * (n + 1) floats.
-BLOCK = 256
+# Entries of p_nk built and contracted at a time on the grid side, in blocks
+# of max(1, GRID_ENTRIES // (n + 1)) rows: each temporary of basis_matrix
+# stays at 128 KiB, within a core's cache.  Measured at grid 1001, q = 0.9:
+# 256-row blocks took twice as long at n = 1000 (2 MB temporaries), and
+# budgets from 8 Ki to 32 Ki entries were within noise of each other.
+GRID_ENTRIES = 16 * 1024
 BLOCK_WIDEN = 2  # a block of rows spans at most this many times its narrowest window
 # Finite coefficients with (n + 1) x J up to this many weights are one dense
 # block: below it, finding the node windows costs more than the exponentials
@@ -156,8 +159,11 @@ def _jackson_coefficients(spec, f):
 
     At the nodes t_j = q^j, q^-k p_nk(q; q t_j) q^j is C(n,k)_q times
     w_kj = q^{(k+1) j} c_{j+n-k} / c_j, and A_nk(1) = 1, so
-    A_nk(f) = sum_j w_kj f_j / sum_j w_kj over the nodes j < J.  log w_kj is
-    concave in j with its peak at the least j >= 0 where
+    A_nk(f) = sum_j w_kj f_j / sum_j w_kj over the nodes j < J, with
+    J = ceil(log(rel_eps / [n+1]_q) / log q) + 3: past its peak the weight
+    of a small k decays only as q^j, so the share it leaves beyond J is about
+    q^J [n+1]_q, which this J keeps below rel_eps.  log w_kj is concave in
+    j with its peak at the least j >= 0 where
     q^(j+1) (1 - q^(n+1)) <= 1 - q^(k+1); each k sums the node window where
     it is at least rel_eps / J of that peak (all J nodes when (n + 1) J is
     at most DENSE_ENTRIES).  The differences log c_{j+n-k} - log c_j come
@@ -165,7 +171,7 @@ def _jackson_coefficients(spec, f):
     """
     n, qv, policy = spec.n, as_q(spec.q), spec.policy
     lnq = math.log(qv)
-    J = int(math.ceil(math.log(policy.rel_eps) / lnq)) + 3
+    J = int(math.ceil(math.log(policy.rel_eps / q_integer(n + 1, qv)) / lnq)) + 3
     if J > policy.max_terms:
         raise SeriesLimitError("finite coefficient node count exceeds max_terms")
     log_c, _, residual = basis._euler_table(qv)
@@ -290,8 +296,9 @@ def apply_finite(spec, f, x):
     xs = np.asarray(x, dtype=float).ravel()  # the basis rejects x outside [0, 1]
     coeffs = finite_coefficients(spec, f)
     out = np.empty(len(xs))
-    for i in range(0, len(xs), BLOCK):
-        out[i : i + BLOCK] = basis.basis_matrix(spec.n, spec.q, xs[i : i + BLOCK]) @ coeffs
+    rows = max(1, GRID_ENTRIES // (spec.n + 1))
+    for i in range(0, len(xs), rows):
+        out[i : i + rows] = basis.basis_matrix(spec.n, spec.q, xs[i : i + rows]) @ coeffs
     return _shaped(out, x)
 
 

@@ -128,27 +128,49 @@ class MomentRow:
 
 @dataclass
 class MomentReport:
-    """Per-point closed-form vs series deviations over a verification grid."""
+    """Per-point closed-form vs series deviations over a verification grid.
 
-    rows: list = field(default_factory=list)
+    Kept as one block per (spec, j): the x values and the closed-form and
+    series arrays at them, so a report holds no Python object per point
+    (hundreds of them per report made most of the garbage collector's work
+    in a run of point queries)."""
+
+    blocks: list = field(default_factory=list)  # (spec, j, xs, closed, series)
+
+    @property
+    def rows(self):
+        return [
+            MomentRow(spec.n, float(spec.q), spec.stancu.varpi, spec.stancu.vartheta, x, j, c, s)
+            for spec, j, xs, closed, series in self.blocks
+            for x, c, s in zip(xs, closed.tolist(), series.tolist())
+        ]
+
+    def _devs(self):
+        """|closed - series| and the closed values, over every point."""
+        closed = np.concatenate([b[3] for b in self.blocks] + [np.empty(0)])
+        series = np.concatenate([b[4] for b in self.blocks] + [np.empty(0)])
+        return np.abs(closed - series), closed
 
     @property
     def max_abs_dev(self):
-        return max((r.abs_dev for r in self.rows), default=0.0)
+        return float(np.max(self._devs()[0], initial=0.0))
 
     @property
     def max_rel_dev(self):
-        devs = [r.abs_dev / max(abs(r.closed), 1.0) for r in self.rows]
-        return max(devs, default=0.0)
+        dev, closed = self._devs()
+        return float(np.max(dev / np.maximum(np.abs(closed), 1.0), initial=0.0))
 
     _columns = ("n", "q", "varpi", "vartheta", "x", "j", "closed", "series", "abs_dev")
 
     def _table(self):
-        return [
-            ("inf" if r.n is None else r.n, r.q, r.varpi, r.vartheta, r.x, r.j,
-             r.closed, r.series, r.abs_dev)
-            for r in self.rows
-        ]
+        table = []
+        for spec, j, xs, closed, series in self.blocks:
+            head = ("inf" if spec.n is None else spec.n, float(spec.q), spec.stancu.varpi,
+                    spec.stancu.vartheta)
+            dev = np.abs(closed - series).tolist()
+            cells = zip(xs, (j,) * len(dev), closed.tolist(), series.tolist(), dev)
+            table += [head + row for row in cells]
+        return table
 
     def to_csv(self, stream, meta=None):
         write_csv(stream, self._columns, self._table(), meta=meta)
@@ -184,18 +206,5 @@ def verify_moments(specs=None, xs=None):
     for spec in specs:
         for j, mono in MONOMIALS.items():
             closed = finite_moment(spec, j, xa)
-            series = durrmeyer.apply(spec, mono, xa)
-            for x, c, s in zip(xs, closed, series):
-                report.rows.append(
-                    MomentRow(
-                        n=spec.n,
-                        q=float(spec.q),
-                        varpi=spec.stancu.varpi,
-                        vartheta=spec.stancu.vartheta,
-                        x=x,
-                        j=j,
-                        closed=float(c),
-                        series=float(s),
-                    )
-                )
+            report.blocks.append((spec, j, xs, closed, durrmeyer.apply(spec, mono, xa)))
     return report

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 
 class QApproxError(Exception):
@@ -179,10 +178,12 @@ def jackson_integral(f, q, policy=DEFAULT_POLICY):
     Uses compensated (Kahan) summation in ascending j and stops only after
     two consecutive terms fall below rel_eps relative to the accumulated
     magnitude.  At q = 1 the integral is the classical one and is computed
-    by adaptive quadrature.
+    by adaptive quadrature (scipy.integrate.quad, imported on that call).
     """
     qv = as_q(q)
     if qv == 1.0:
+        from scipy import integrate  # here only: importing it costs ~0.6 s and ~50 MB
+
         val, _ = integrate.quad(f, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=200)
         return val
     total = 0.0

@@ -1,5 +1,6 @@
 """Scalar reference paths that the tests compare the batched package against."""
 
+import json
 import math
 import warnings
 from functools import lru_cache
@@ -7,10 +8,12 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate
 
+from qapprox import __version__
 from qapprox.basis import basis_row
 from qapprox.durrmeyer import finite_inner
 from qapprox.funcreg import builtin
 from qapprox.qcore import jackson_integral, q_binomial, q_integer
+from qapprox.reporting import format_value, meta_lines
 from qapprox.statconv import window
 
 
@@ -39,7 +42,7 @@ def jackson_coefficients(specs, fs, ks, extra=4000):
     weights q^{(k+1) j} c_{j+n-k} / c_j formed and summed in extended
     precision.  One row per k, one column per pair."""
     n, q = specs[0].n, specs[0].q
-    nodes = math.ceil(math.log(specs[0].policy.rel_eps) / math.log(q)) + 3 + extra
+    nodes = math.ceil(math.log(specs[0].policy.rel_eps / q_integer(n + 1, q)) / math.log(q)) + 3 + extra
     q_ext = np.longdouble(q)
     log_c = np.concatenate(([0], np.cumsum(np.log1p(-(q_ext ** np.arange(1, nodes + n))))))
     js = np.arange(nodes)
@@ -119,3 +122,28 @@ def weighted_mean(x, weights, query, n):
         sn += sk
         acc += sk * float(_at(x, k))
     return acc / sn**query.gamma
+
+
+def write_csv(stream, columns, rows, meta=None):
+    """The CSV report with one format_value call per cell."""
+    for line in meta_lines(meta):
+        stream.write(line + "\n")
+    stream.write(",".join(columns) + "\n")
+    for row in rows:
+        stream.write(",".join(format_value(v) for v in row) + "\n")
+
+
+def write_json(stream, columns, rows, meta=None):
+    """The JSON report with one format_value call per float cell."""
+    data = {col: [] for col in columns}
+    for row in rows:
+        for col, v in zip(columns, row):
+            data[col].append(format_value(v) if isinstance(v, float) else v)
+    doc = {
+        "tool": f"qapprox {__version__}",
+        "config": dict(sorted((meta or {}).items())),
+        "columns": list(columns),
+        "data": data,
+    }
+    json.dump(doc, stream, indent=2, sort_keys=False)
+    stream.write("\n")

@@ -1,6 +1,10 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import qapprox
 
@@ -35,3 +39,10 @@ def test_removed_names_are_defined_nowhere():
     for info in pkgutil.iter_modules(qapprox.__path__):
         module = importlib.import_module(f"qapprox.{info.name}")
         assert not REMOVED & set(vars(module)), info.name
+
+
+def test_importing_the_cli_leaves_scipy_integrate_unloaded():
+    src = str(Path(qapprox.__file__).resolve().parents[1])
+    code = "import sys, qapprox.cli; sys.exit('scipy.integrate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

@@ -153,6 +153,9 @@ def test_square_set_at_large_roots():
         assert squares(k).tolist() == [False, True, False]
     k = np.arange(-3, 10**4, dtype=np.int64)
     assert squares(k).tolist() == [v >= 0 and math.isqrt(v) ** 2 == v for v in k.tolist()]
+    top = math.isqrt(2**63 - 1)  # (top + 1)^2 overflows int64
+    edge = [top**2 - 1, top**2, top**2 + 1, (top - 1) ** 2, (top - 1) ** 2 + 1, 2**63 - 2, 2**63 - 1]
+    assert squares(np.array(edge, dtype=np.int64)).tolist() == [math.isqrt(v) ** 2 == v for v in edge]
 
 
 def test_fixed_value(runner):

@@ -382,6 +382,31 @@ def test_finite_coefficients_match_dense_jackson_sum(n, q):
     assert np.all(np.max(np.abs(got - want), axis=0) <= 5e-14 * np.max(np.abs(want), axis=0))
 
 
+@pytest.mark.parametrize("q", [0.99, 0.999])
+def test_finite_coefficients_of_small_k_keep_their_node_tails(q):
+    # past its peak the weight of k = 0 decays only as q^j: the nodes must
+    # reach where its share beyond them is rel_eps, not rel_eps [n+1]_q
+    spec = OperatorSpec(5, q)
+    f = from_expression("sin(3.7*t)")
+    want = jackson_coefficients([spec], [f], range(6))[:, 0]
+    got = finite_coefficients(spec, f)
+    assert np.max(np.abs(got - want)) <= spec.policy.rel_eps * np.max(np.abs(want))
+
+
+def test_grid_working_set_is_bounded():
+    spec = OperatorSpec(1000, 0.9)
+    f = from_expression("abs(t-0.37)")
+    xs = GridSpec(1001).xs
+    finite_coefficients(spec, f)
+    tracemalloc.start()
+    try:
+        apply_finite(spec, f, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_finite_coefficients_near_one_working_set_is_bounded():
     # windowed node blocks, not a (nodes x (n + 1)) matrix: J = 322k here
     spec = OperatorSpec(1000, 0.9999, StancuParams(0.5, 1.0))

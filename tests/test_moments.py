@@ -141,6 +141,18 @@ def test_verify_moments_custom_grid():
     assert max(r.abs_dev for r in classical) <= 1e-12
 
 
+def test_report_table_and_deviations_match_its_rows():
+    specs = [OperatorSpec(3, 1.0), OperatorSpec(5, 0.8, StancuParams(1.0, 2.0)), OperatorSpec(INFINITE, 0.5)]
+    report = verify_moments(specs, [0.0, 0.25, 0.5, 1.0])
+    rows = report.rows
+    assert report._table() == [
+        ("inf" if r.n is None else r.n, r.q, r.varpi, r.vartheta, r.x, r.j, r.closed, r.series, r.abs_dev)
+        for r in rows
+    ]
+    assert report.max_abs_dev == max(r.abs_dev for r in rows)
+    assert report.max_rel_dev == max(r.abs_dev / max(abs(r.closed), 1.0) for r in rows)
+
+
 def test_report_serialization():
     report = verify_moments([OperatorSpec(2, 0.5)], [0.5])
     csv_out = io.StringIO()
