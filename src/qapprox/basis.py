@@ -87,11 +87,18 @@ def _log_pochhammer(x, qv, policy):
     return log_q_pochhammer_inf(x, qv, policy)
 
 
-def _truncation_index(qv, log_x, log_pi, policy):
+def _truncation_index(qv, log_x, log_pi, policy, cap=None):
     """Index K of the limit series at x in (0, 1), from log x and log (x;q)_inf
     (scalars or arrays): the smallest K past which every basis value is below
-    rel_eps."""
-    k = (math.log(policy.rel_eps) - 2.0 - log_pi + _euler_table(qv)[1]) / log_x
+    rel_eps.
+
+    With a cap, K is at most cap.  Within about rel_eps of x = 1 every basis
+    value is below rel_eps while their sum is 1, so there K is the cap too.
+    """
+    top = math.log(policy.rel_eps) - 2.0 - log_pi + _euler_table(qv)[1]
+    k = top / log_x
+    if cap is not None:
+        k = np.minimum(np.where(top < 0.0, k, math.inf), cap)
     K = np.maximum(8.0, np.ceil(k))
     if np.any(K > policy.max_terms):
         raise SeriesLimitError("limit operator k-series exceeds max_terms")

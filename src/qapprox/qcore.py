@@ -155,7 +155,8 @@ def log_q_pochhammer_inf(x, q, policy=DEFAULT_POLICY):
         xl = xs[live]
         top = np.abs(xl).max()
         lnq = math.log(qv)
-        S = max(0, math.ceil(math.log(0.5 / top) / lnq))
+        # 0.5 / top overflows for the smallest subnormals, where S is 0
+        S = 0 if top <= 0.5 else math.ceil(math.log(0.5 / top) / lnq)
         while top * qv**S > 0.5:  # S one short by rounding
             S += 1
         M = max(1, math.ceil(math.log(policy.rel_eps) / math.log(top * qv**S)) + 1)

@@ -13,7 +13,13 @@ from oracles import (
     registry_samples,
 )
 from qapprox.analysis import GridSpec
-from qapprox.basis import INFINITE, basis_row, limit_basis, log_limit_row
+from qapprox.basis import (
+    INFINITE,
+    basis_row,
+    limit_basis,
+    limit_basis_identity_sums,
+    log_limit_row,
+)
 from qapprox.durrmeyer import (
     OperatorSpec,
     StancuParams,
@@ -27,10 +33,12 @@ from qapprox.durrmeyer import (
     _limit_slot,
     _RULE_T,
     _RULE_W,
+    _series_cap,
 )
 from qapprox.funcreg import from_expression, resolve
 from qapprox.moments import finite_moment, limit_moment
 from qapprox.qcore import (
+    DEFAULT_POLICY,
     NumericError,
     QApproxError,
     SeriesLimitError,
@@ -337,6 +345,53 @@ def test_apply_limit_working_set_is_bounded():
     assert peak < 32 * 2**20
 
 
+NEAR_ONE = [1.0 - 1e-4, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12]
+
+
+@pytest.mark.parametrize("q", [0.5, 0.9, 0.99, 0.999])
+@pytest.mark.parametrize("stancu", [StancuParams(), StancuParams(1.0, 2.0)], ids=str)
+def test_limit_operator_near_one_matches_closed_forms(q, stancu):
+    # past K_cap the series is closed by its tail, so x -> 1 costs no more
+    # terms; each x alone, so its value does not depend on a neighbour's block
+    spec = OperatorSpec(INFINITE, q, stancu)
+    for j, f in ((0, lambda t: np.ones_like(t)), (1, lambda t: t), (2, lambda t: t * t)):
+        for x in NEAR_ONE:
+            got = apply_limit(spec, f, x)
+            assert got == pytest.approx(limit_moment(q, stancu, j, x), rel=0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("q, cap", [(0.5, 48), (0.9, 328), (0.95, 687), (0.99, 3666),
+                                    (0.995, 7489), (0.999, 39125)])
+def test_limit_series_cap(q, cap):
+    assert _series_cap(q, DEFAULT_POLICY) == cap
+    # the coefficients of a near-1 query stop at the cap
+    spec = OperatorSpec(INFINITE, q)
+    f = resolve("t^2")
+    apply_limit(spec, f, 1.0 - 1e-9)
+    assert len(_limit_slot(spec, f)[0]) == cap + 1
+
+
+def test_limit_series_cap_stays_inside_apply_limit():
+    # the scalar basis rows keep their full truncation index and no tail term
+    for q, x, K, last in ((0.5, 0.99, 2950, -34.23765052497977),
+                          (0.9, 0.999, 27342, -34.23640683209257),
+                          (0.999, 0.995, 11720, -34.24488385020459)):
+        row = log_limit_row(q, x)
+        assert len(row) == K + 1 and row[-1] == last
+        p = np.exp(row)
+        w = 1.0 - q ** np.arange(K + 1)
+        assert limit_basis_identity_sums(q, x) == (p.sum(), w @ p, (w * w) @ p)
+    # the cap is what the terms count against, whatever x
+    f = resolve("t")
+    with pytest.raises(SeriesLimitError):
+        apply_limit(OperatorSpec(INFINITE, 0.999, policy=TruncationPolicy(max_terms=1000)), f, 0.9999)
+    with pytest.raises(SeriesLimitError):
+        apply_limit(OperatorSpec(INFINITE, 0.9, policy=TruncationPolicy(max_terms=300)), f, 1 - 1e-6)
+    spec = OperatorSpec(INFINITE, 0.9, policy=TruncationPolicy(max_terms=400))
+    assert apply_limit(spec, f, 1 - 1e-6) == pytest.approx(limit_moment(0.9, StancuParams(), 1, 1 - 1e-6),
+                                                         rel=0.0, abs=1e-15)
+
+
 KINKED = [  # (f, the values where f has a kink)
     ("abs(t-0.37)", [0.37]),
     ("abs(t-0.5)", [0.5]),
@@ -514,4 +569,26 @@ def test_finite_operator_properties(n, q, x, shifts, c):
     assert values[0] == pytest.approx(1.0, rel=0.0, abs=1e-13)
     for j in (1, 2):
         assert values[j] == pytest.approx(finite_moment(spec, j, x), rel=0.0, abs=1e-13)
+    assert values[3] >= 0.0
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    q=st.floats(0.5, 0.999),
+    x=st.floats(0.0, 1.0),
+    shifts=st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0)).map(sorted),
+    c=st.floats(0.0, 1.0),
+)
+@example(q=0.999, x=1.0 - 1e-12, shifts=[1.0, 2.0], c=0.37)
+@example(q=0.999, x=float(np.nextafter(1.0, 0.0)), shifts=[0.0, 0.0], c=1.0)
+@example(q=0.5, x=5e-324, shifts=[0.0, 0.0], c=0.0)  # 0.5 / x overflows
+def test_limit_operator_properties(q, x, shifts, c):
+    stancu = StancuParams(*shifts)
+    spec = OperatorSpec(INFINITE, q, stancu)
+    fs = (lambda t: 1.0, lambda t: t, lambda t: t * t, lambda t: abs(t - c))
+    values = [apply_limit(spec, f, x) for f in fs]  # no QApproxError at the default policy
+    assert all(math.isfinite(v) for v in values)
+    assert values[0] == pytest.approx(1.0, rel=0.0, abs=1e-13)
+    for j in (1, 2):
+        assert values[j] == pytest.approx(limit_moment(q, stancu, j, x), rel=0.0, abs=1e-13)
     assert values[3] >= 0.0
