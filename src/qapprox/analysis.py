@@ -122,6 +122,8 @@ def fixed_point_check(f, q, stancu, grid=DEFAULT_GRID, policy=DEFAULT_POLICY):
 
 def basis_inequality_check(n, q, grid=DEFAULT_GRID, policy=DEFAULT_POLICY):
     """Max over k <= n and grid x of |p_nk - p_inf,k| - (q^(n-k)/(1-q))(p_nk + p_inf,k)."""
+    if n < 1:
+        raise ValueError("n must be a positive integer")
     qv = as_q(q)
     if qv == 1.0:
         raise ValueError("the basis inequality requires q < 1")

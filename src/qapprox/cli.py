@@ -21,16 +21,23 @@ EXIT_NUMERIC = 3
 
 
 def _parse_int_list(text):
-    """Accept '50,100,200' or a range '5..40'."""
+    """Accept '50,100,200' or a range '5..40'; an empty list is a usage error."""
     text = text.strip()
     if ".." in text:
         lo, _, hi = text.partition("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in text.split(",") if part]
+        return _nonempty(list(range(int(lo), int(hi) + 1)), text)
+    return _nonempty([int(part) for part in text.split(",") if part], text)
 
 
 def _parse_float_list(text):
-    return [float(part) for part in text.split(",") if part]
+    """Accept '0.9,0.99'; an empty list is a usage error."""
+    return _nonempty([float(part) for part in text.split(",") if part], text)
+
+
+def _nonempty(values, text):
+    if not values:
+        raise click.UsageError(f"the list {text!r} is empty")
+    return values
 
 
 def _write(out, fmt, columns, rows, meta):
@@ -331,7 +338,7 @@ def cmd_korovkin(a, n_list, varpi, vartheta, grid_points, gamma, eps_list, out, 
             _parse_int_list(n_list),
             analysis.GridSpec(grid_points).xs,
             query=statconv.DensityQuery(gamma=gamma),
-            eps_list=_parse_float_list(eps_list),
+            eps_list=_parse_float_list(eps_list) if eps_list else [],
         )
         return report.columns(), report.rows()
 

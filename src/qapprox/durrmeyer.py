@@ -40,6 +40,14 @@ the top, and blocks of rows with overlapping windows are exponentiated
 and contracted together.  On the limit side each block's log weights are
 one rank-3 matrix product.
 
+On the limit side the node count, the windows and the row blocks depend on
+q and the TruncationPolicy only, not on f or the shifts.  They form the
+plan of (q, policy) (_limit_plan, a bounded LRU), which every f shares.
+It grows on demand: a k_max past the plan's rebuilds it to that k_max,
+and a smaller one takes its blocks cut at k_max + 1, which are the blocks
+of those rows themselves.  The finite side finds its windows per call, as
+each n has its own.
+
 The limit series at x is summed up to its truncation index K_x, but never
 past K_cap = max(8, ceil(log(rel_eps (1-q)) / log q)), which depends on q
 and rel_eps only: from there on A_k is f(inner(1)) and c_k is c_inf to
@@ -325,13 +333,50 @@ def _limit_slot(spec, f):
     return [np.empty(0)]
 
 
+class _LimitPlan:
+    """The part of the A_k that depends on (q, policy) only: the node count
+    J, and the node window [lo_k, hi_k) of each k with the row blocks of
+    _blocks(lo, hi), for k up to the largest k_max built so far."""
+
+    def __init__(self, J):
+        self.J = J
+        self.lo = self.hi = np.empty(0, dtype=int)
+        self.blocks = []
+
+    def blocks_to(self, k_max):
+        """The blocks of rows 0..k_max.  _blocks is greedy from row 0, so they
+        are the plan's blocks cut at k_max + 1, the column range of the cut
+        block taken from its kept rows: the same as _blocks on the prefix."""
+        for ks, a, b in self.blocks:
+            if ks.start > k_max:
+                return
+            if ks.stop > k_max + 1:
+                ks = slice(ks.start, k_max + 1)
+                a, b = int(self.lo[ks].min()), int(self.hi[ks].max())
+            yield ks, a, b
+
+
+@lru_cache(maxsize=64)
+def _limit_plan(qv, policy):
+    """The _LimitPlan of (q, policy), shared by every f and shift pair; the
+    limit coefficients grow it on demand."""
+    # node count large enough that every A_k tail is below rel_eps
+    J = int(math.ceil((-math.log(policy.rel_eps) + 6.0) / (-math.log(qv)))) + 3
+    if J > policy.max_terms:
+        raise SeriesLimitError("limit coefficient node count exceeds max_terms")
+    return _LimitPlan(J)
+
+
 def limit_coefficients(spec, f, k_max):
     """A_k(f) for k = 0..k_max, read-only; a longer cached array is reused.
 
     A_k = sum_j w_kj f_j / sum_j w_kj over the node window of each k (see
     the module docstring), with log w_kj = j rate_k + g_j - log c_k built
-    per block as [rate_k, 1, -log c_k] . [j, g_j, 1].  apply_limit asks for
-    k_max up to _series_cap at most.
+    per block as [rate_k, 1, -log c_k] . [j, g_j, 1].  The node count, the
+    windows and the row blocks come from the plan of (q, policy)
+    (_limit_plan), which depends on neither f nor the shifts: a k_max past
+    the plan's rebuilds it to k_max, a smaller one uses its first k_max + 1
+    rows.  apply_limit asks for k_max up to _series_cap at most.
     """
     if not spec.is_limit:
         raise ValueError("limit_coefficients requires the limit operator")
@@ -340,11 +385,9 @@ def limit_coefficients(spec, f, k_max):
         return slot[0][: k_max + 1]
     qv = as_q(spec.q)
     policy = spec.policy
+    plan = _limit_plan(qv, policy)
+    J = plan.J
     lnq = math.log(qv)
-    # node count large enough that every A_k tail is below rel_eps
-    J = int(math.ceil((-math.log(policy.rel_eps) + 6.0) / (-lnq))) + 3
-    if J > policy.max_terms:
-        raise SeriesLimitError("limit coefficient node count exceeds max_terms")
     # log w_kj = j rate_k + g_j - log c_k = [rate_k, 1, -log c_k] . [j, g_j, 1]
     # with g_j = log prod_{i>j} (1 - q^i); the factors are the only copies
     left, right = np.ones((k_max + 1, 3)), np.ones((3, J))
@@ -355,14 +398,17 @@ def limit_coefficients(spec, f, k_max):
     t_nodes = qv ** np.arange(J)
     # columns f and 1: one product gives each A_k and its weight sum
     f_one = np.column_stack((_finite_values(f, limit_inner(qv, spec.stancu, t_nodes)), np.ones(J)))
-    # e_k(j+1) - e_k(j) = rate_k - log(1 - q^(j+1)): the peak is the first j
-    # where that step is not positive
-    peak = np.searchsorted(np.log1p(-t_nodes[1:]), rates)
+    if len(plan.lo) <= k_max:
+        # e_k(j+1) - e_k(j) = rate_k - log(1 - q^(j+1)): the peak is the first
+        # j where that step is not positive
+        peak = np.searchsorted(np.log1p(-t_nodes[1:]), rates)
+        cut = math.log(policy.rel_eps / J) - neg_log_c
+        lo, hi = _node_windows(lambda j: j * rates + g[j], peak, cut, J)
+        plan.lo, plan.hi, plan.blocks = lo, hi, list(_blocks(lo, hi))
     del t_nodes  # the block loop sets the peak memory
-    lo, hi = _node_windows(lambda j: j * rates + g[j], peak, math.log(policy.rel_eps / J) - neg_log_c, J)
     sums = np.empty((k_max + 1, 2))
     buf = np.empty(max(BLOCK_ENTRIES, J))  # reused: a fresh block of pages costs as much as its exp
-    for ks, a, b in _blocks(lo, hi):
+    for ks, a, b in plan.blocks_to(k_max):
         sums[ks] = _jackson_block(_product(buf, left[ks], right[:, a:b]), f_one[a:b])
     out = sums[:, 0] / sums[:, 1]
     out.flags.writeable = False

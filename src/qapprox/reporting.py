@@ -61,19 +61,34 @@ def write_csv(stream, columns, rows, meta=None):
 
 
 def write_json(stream, columns, rows, meta=None):
-    data = {col: [] for col in columns}
+    """The bytes of json.dump(doc, indent=2) for doc = {tool, config,
+    columns, data}, data holding each column as a list: format_value of its
+    floats, its other values as they are.  Only the head (tool, config,
+    columns) and the non-float cells go through the json encoder; a float
+    column is one '%' template, as its strings need no JSON escapes."""
+    head = json.dumps(
+        {
+            "tool": f"qapprox {__version__}",
+            "config": dict(sorted((meta or {}).items())),
+            "columns": list(columns),
+        },
+        indent=2,
+    )
+    data = dict.fromkeys(columns, "[]")
     for name, col in zip(columns, zip(*rows)):
         if _is_float_column(col):
-            data[name] = _body([("%.17g", col)]).splitlines()
+            items = ('      "%.17g",\n' * len(col))[:-2] % col
         else:
-            data[name] = [format_value(v) if isinstance(v, float) else v for v in col]
-    doc = {
-        "tool": f"qapprox {__version__}",
-        "config": dict(sorted((meta or {}).items())),
-        "columns": list(columns),
-        "data": data,
-    }
-    stream.write(json.dumps(doc, indent=2) + "\n")  # json.dump writes it in ~1000 chunks
+            items = ",\n".join(
+                "      " + json.dumps(format_value(v) if isinstance(v, float) else v) for v in col
+            )
+        data[name] = "[\n" + items + "\n    ]"
+    if data:
+        body = ",\n".join(f"    {json.dumps(name)}: {items}" for name, items in data.items())
+        body = "{\n" + body + "\n  }"
+    else:
+        body = "{}"
+    stream.write(head[:-2] + ',\n  "data": ' + body + "\n}\n")
 
 
 @contextmanager

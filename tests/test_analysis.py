@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from oracles import registry_samples
@@ -16,7 +17,7 @@ from qapprox.analysis import (
 from qapprox.basis import _log_pochhammer, limit_basis
 from qapprox.durrmeyer import StancuParams
 from qapprox.funcreg import builtin
-from qapprox.moments import finite_moment, limit_moment
+from qapprox.moments import finite_moment, finite_moment_at, limit_moment
 from qapprox.durrmeyer import OperatorSpec
 
 SLACK = 2.0 * DEFAULT_GRID.spacing
@@ -111,6 +112,20 @@ def test_fixed_point_values():
     assert fixed_point_check(builtin("id"), 0.5, st) == pytest.approx(0.5, abs=1e-10)
     assert fixed_point_check(builtin("square"), 0.5, st) > 0.05
 
+
+
+@pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
+@pytest.mark.parametrize("stancu", [StancuParams(), StancuParams(1.0, 2.0)], ids=str)
+def test_rate_experiment_matches_the_closed_form_distance(q, stancu):
+    # for f = t^2 both operators have closed forms, so every sup_diff(n) is
+    # pinned to max_x |D_n(t^2; x) - D_inf(t^2; x)| on the grid
+    ns = np.arange(5, 61)
+    xs = DEFAULT_GRID.xs
+    want = np.max(np.abs(finite_moment_at(ns[:, None], q, stancu, 2, xs)
+                         - limit_moment(q, stancu, 2, xs)), axis=1)
+    rows = rate_experiment(builtin("square"), q, stancu, range(5, 61)).rows
+    assert [row[0] for row in rows] == ns.tolist()
+    assert np.abs(np.array([row[1] for row in rows]) - want).max() <= 1e-14
 
 def test_basis_inequality():
     assert basis_inequality_check(10, 0.8, GridSpec(101)) <= 1e-12

@@ -172,6 +172,28 @@ def test_ineq_ok(runner):
     assert result.exit_code == 0
 
 
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_ineq_rejects_a_degree_below_one(runner, n):
+    result = runner.invoke(main, ["ineq", "--n", n, "--q", "0.5", "--grid", "11"])
+    assert result.exit_code == 2
+    assert "n must be a positive integer" in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["rate", "--f", "t", "--q", "0.9", "--n-list", "40..5"],
+        ["rate", "--f", "t", "--q", "0.9", "--n-list", ""],
+        ["korovkin", "--a", "0.5", "--n-list", "40..20"],
+        ["q1", "--f", "t", "--q-list", ""],
+    ],
+)
+def test_empty_lists_are_usage_errors(runner, args):
+    result = runner.invoke(main, args + ["--grid", "11"])
+    assert result.exit_code == 2
+    assert "is empty" in result.output
+
 def test_q1_rows(runner):
     result = runner.invoke(
         main,

@@ -30,6 +30,7 @@ from qapprox.durrmeyer import (
     finite_inner,
     limit_coefficients,
     limit_inner,
+    _limit_plan,
     _limit_slot,
     _RULE_T,
     _RULE_W,
@@ -239,6 +240,60 @@ def test_limit_coefficient_cache_is_bounded():
     for _ in range(600):
         apply_limit(spec, resolve("t^2"), 0.5)  # a fresh f, so a fresh cache key
     assert _limit_slot.cache_info().currsize <= 64
+
+
+PLAN_QS = [0.5, 0.9, 0.99, 0.999]
+
+
+def _clear_limit_caches():
+    _limit_plan.cache_clear()
+    _limit_slot.cache_clear()
+
+
+@pytest.mark.parametrize("q", PLAN_QS)
+@pytest.mark.parametrize("cut", ["early", "late"])
+def test_limit_plan_gives_the_cold_coefficients(q, cut):
+    # the plan of (q, policy) is built by another f and shift pair, once past
+    # k_max (its prefix is cut) and once short of it (it grows); an early cut
+    # narrows the column range of its block
+    spec = OperatorSpec(INFINITE, q, StancuParams(1.0, 2.0))
+    f = from_expression("sin(3*t)+abs(t-0.37)")
+    other = OperatorSpec(INFINITE, q), from_expression("exp(-2*t)*t^2")
+    k_max = 13 if cut == "early" else _series_cap(q, DEFAULT_POLICY) // 4
+    _clear_limit_caches()
+    cold = limit_coefficients(spec, f, k_max).copy()
+    for warm_k in (2 * k_max, k_max // 2):
+        _clear_limit_caches()
+        limit_coefficients(*other, warm_k)
+        plan = _limit_plan(q, DEFAULT_POLICY)
+        if warm_k > k_max:  # a block of the plan spans the cut
+            assert any(ks.start <= k_max < ks.stop - 1 for ks, _, _ in plan.blocks)
+        assert np.array_equal(limit_coefficients(spec, f, k_max), cold)
+        assert len(plan.lo) == max(warm_k, k_max) + 1
+        assert plan.lo.dtype.kind == plan.hi.dtype.kind == "i"
+
+
+@pytest.mark.parametrize("q", PLAN_QS)
+def test_apply_limit_is_the_same_with_a_warm_plan(q):
+    spec = OperatorSpec(INFINITE, q, StancuParams(1.0, 2.0))
+    f = from_expression("sin(3*t)+abs(t-0.37)")
+    xs = GridSpec(201).xs
+    _clear_limit_caches()
+    cold = apply_limit(spec, f, xs)
+    _limit_slot.cache_clear()
+    apply_limit(OperatorSpec(INFINITE, q), from_expression("exp(-2*t)*t^2"), xs)
+    info = _limit_plan.cache_info()
+    assert (info.hits, info.misses) == (1, 1)  # the second f reads the first f's plan
+    _limit_slot.cache_clear()
+    assert np.array_equal(apply_limit(spec, f, xs), cold)
+
+
+def test_limit_plan_cache_is_bounded():
+    f = resolve("t^2")
+    for q in np.linspace(0.05, 0.5, 100):
+        apply_limit(OperatorSpec(INFINITE, float(q)), f, 0.5)
+    info = _limit_plan.cache_info()
+    assert info.maxsize == 64 and info.currsize <= 64
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=str)
