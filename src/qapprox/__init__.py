@@ -14,12 +14,13 @@ from .qcore import (  # noqa: F401
     q_factorial,
     q_integer,
 )
-from .basis import INFINITE, limit_basis, limit_basis_identity_sums  # noqa: F401
+from .basis import INFINITE, limit_basis  # noqa: F401
 from .durrmeyer import (  # noqa: F401
     OperatorSpec,
     StancuParams,
     apply_finite,
     apply_limit,
+    limit_basis_identity_sums,
 )
 from .moments import central_moments, finite_moment, limit_moment, verify_moments  # noqa: F401
 from .statconv import (  # noqa: F401

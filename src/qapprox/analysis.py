@@ -7,6 +7,7 @@ it must budget a slack of about 2*Lip/(points-1).
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,6 +133,8 @@ def basis_inequality_check(n, q, grid=DEFAULT_GRID, policy=DEFAULT_POLICY):
         finite = basis_row(n, qv, x)
         for k in range(n + 1):
             p_inf = limit_basis(k, qv, x, policy)
+            if 0.0 < finite[k] + p_inf < sys.float_info.min:
+                continue  # subnormal values have lost their relative precision
             lhs = abs(finite[k] - p_inf)
             rhs = qv ** (n - k) / (1.0 - qv) * (finite[k] + p_inf)
             worst = max(worst, lhs - rhs)

@@ -4,6 +4,7 @@ Exit codes: 0 ok, 1 an assertion threshold failed (report still written),
 2 invalid configuration, 3 numeric failure.
 """
 
+import contextlib
 import math
 import sys
 
@@ -40,8 +41,20 @@ def _nonempty(values, text):
     return values
 
 
+@contextlib.contextmanager
+def _output(out):
+    """open_output(out); a path that cannot be opened exits with code 2."""
+    with contextlib.ExitStack() as stack:
+        try:
+            stream = stack.enter_context(open_output(out))
+        except OSError as exc:
+            click.echo(f"cannot write {out}: {exc.strerror or exc}", err=True)
+            sys.exit(EXIT_CONFIG)
+        yield stream
+
+
 def _write(out, fmt, columns, rows, meta):
-    with open_output(out) as stream:
+    with _output(out) as stream:
         if fmt == "json":
             write_json(stream, columns, rows, meta=meta)
         else:
@@ -123,7 +136,7 @@ def cmd_moments_verify(tol, out, fmt):
     """Compare closed-form moments against the operator series path."""
     meta = {"command": "moments-verify", "tol": tol}
     report = _run(moments.verify_moments)
-    with open_output(out) as stream:
+    with _output(out) as stream:
         if fmt == "json":
             report.to_json(stream, meta=meta)
         else:

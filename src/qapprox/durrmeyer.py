@@ -48,12 +48,14 @@ and a smaller one takes its blocks cut at k_max + 1, which are the blocks
 of those rows themselves.  The finite side finds its windows per call, as
 each n has its own.
 
-The limit series at x is summed up to its truncation index K_x, but never
-past K_cap = max(8, ceil(log(rel_eps (1-q)) / log q)), which depends on q
-and rel_eps only: from there on A_k is f(inner(1)) and c_k is c_inf to
-rel_eps (the limit q-Bernstein behaviour of Il'inskii and Ostrovska, J.
+The limit series is summed by one kernel, _limit_sums, for its two
+callers: apply_limit (columns A_k and 1) and limit_basis_identity_sums
+(columns 1, w_k and w_k^2).  At x it stops at the truncation index K_x,
+never past K_cap = max(8, ceil(log(rel_eps (1-q)) / log q)), which depends
+on q and rel_eps only: from there on A_k is f(inner(1)) and c_k is c_inf
+to rel_eps (the limit q-Bernstein behaviour of Il'inskii and Ostrovska, J.
 Approx. Theory 116 (2002)), so the rest of the series is one closed-form
-term.  That keeps x up to 1 within a fixed number of terms.
+term, and x up to 1 takes a fixed number of terms.
 """
 
 import math
@@ -496,20 +498,56 @@ def _series_cap(qv, policy):
     return max(8, math.ceil(math.log(policy.rel_eps * (1.0 - qv)) / math.log(qv)))
 
 
+def _truncation_index(qv, log_x, log_pi, policy, cap):
+    """Index K_x of the limit series at each x in (0, 1), from log x and
+    log (x;q)_inf: the least K past which every basis value is below rel_eps,
+    at most cap (near x = 1 every basis value is below rel_eps)."""
+    top = math.log(policy.rel_eps) - 2.0 - log_pi + basis._euler_table(qv)[1]
+    k = np.minimum(np.where(top < 0.0, top / log_x, math.inf), cap)
+    K = np.maximum(8.0, np.ceil(k))
+    if np.any(K > policy.max_terms):
+        raise SeriesLimitError("limit operator k-series exceeds max_terms")
+    return K.astype(int)
+
+
+def _limit_sums(qv, policy, x_in, columns, end):
+    """Per x of x_in (in (0, 1), ascending), the row
+    sum_{k<=K_x} columns[k] p_{inf,k}(q;x) + T_x end, and the columns: the
+    callback columns(K) gives rows k = 0..K for the largest K_x, end the
+    columns' value past K_cap, and
+    T_x = sum_{k>K_cap} x^k (x;q)_inf / c_inf
+        = x^(K_cap+1) (x;q)_inf / ((1 - x) c_inf).
+    Blocks of x run over k = 0..K_x through the coefficients' kernel."""
+    left = np.ones((len(x_in), 3))  # [log x, 1, log (x;q)_inf] per row
+    log_x = np.log(x_in, out=left[:, 0])
+    log_pi = log_q_pochhammer_inf(x_in, qv, policy)
+    left[:, 2] = log_pi
+    cap = _series_cap(qv, policy)
+    K = _truncation_index(qv, log_x, log_pi, policy, cap)
+    cols = columns(int(K.max(initial=0)))
+    # The tail past the cap, in the scale of its row: log (x;q)_inf is in
+    # both, so the row's rounding of it still cancels.  A row below the cap
+    # leaves out its k in (K, cap], whose weights are below rel_eps, and its
+    # tail is smaller still.
+    tail = np.exp((cap + 1) * log_x + log_pi - basis._euler_table(qv)[1] - np.log1p(-x_in))
+    sums = np.multiply.outer(tail, end)
+    # log p_{inf,k}(q;x) = k log x - log c_k + log (x;q)_inf
+    right = np.ones((3, len(cols)))  # [k, -log c_k, 1] per column
+    right[0] = np.arange(len(cols))
+    np.negative(basis._log_c_row(qv, len(cols) - 1), out=right[1])
+    buf = np.empty(max(BLOCK_ENTRIES, len(cols)))
+    for rows, a, b in _blocks(np.zeros_like(K), K + 1):
+        sums[rows] += _jackson_block(_product(buf, left[rows], right[:, a:b]), cols[a:b])
+    return sums, cols
+
+
 def apply_limit(spec, f, x):
     """D_inf(f; x) at a scalar x or an array of x.
 
-    log (x;q)_inf and the truncation index K_x come for every x at once,
-    K_x at most K_cap (_series_cap), and the coefficients once up to the
-    largest K_x.  The x < 1 then run in ascending order in blocks of rows
-    over k = 0..K_x, the same kernel as the coefficients: column A_k gives
-    the value and column 1 its normaliser sum_{k<=K_x} p_{inf,k}(q;x).  Each
-    row adds the rest of its series past K_cap,
-    T_x = sum_{k>K_cap} x^k (x;q)_inf / c_inf
-        = x^(K_cap+1) (x;q)_inf / ((1 - x) c_inf),
-    to both columns, with the coefficient f(inner(1)).  The normaliser is
-    then 1 up to the weights below rel_eps that a row below the cap leaves
-    out, and constants come out exact for every x.
+    The x in (0, 1) are the rows of _limit_sums with the columns (A_k, 1),
+    built once up to the largest K_x, and end (f(inner(1)), 1): the second
+    column is the normaliser, 1 up to the weights below rel_eps that a row
+    below the cap leaves out, so constants come out exact for every x.
     At x = 1 the continuous extension f(inner(1)) is exact.
     """
     if not spec.is_limit:
@@ -517,40 +555,41 @@ def apply_limit(spec, f, x):
     xs = np.asarray(x, dtype=float).ravel()
     if not np.all((xs >= 0.0) & (xs <= 1.0)):
         raise ValueError("x must lie in [0, 1]")
-    qv, policy = as_q(spec.q), spec.policy
+    qv = as_q(spec.q)
     inside = np.flatnonzero((xs > 0.0) & (xs < 1.0))
     order = inside[np.argsort(xs[inside], kind="stable")]
-    x_in = xs[order]
-    left = np.ones((len(order), 3))  # [log x, 1, log (x;q)_inf] per row
-    log_x = np.log(x_in, out=left[:, 0])
-    log_pi = log_q_pochhammer_inf(x_in, qv, policy)
-    left[:, 2] = log_pi
-    cap = _series_cap(qv, policy)
-    K = basis._truncation_index(qv, log_x, log_pi, policy, cap)
-    coeffs = limit_coefficients(spec, f, int(K.max(initial=0)))
     # x = 1: the mass escapes to k = inf, and A_k -> f(inner(1))
     f_end = f(limit_inner(qv, spec.stancu, 1.0))
+    # Column-major (A_k, 1): OpenBLAS sums that product to 5e-15 of per-x
+    # dot products on grid 1001, the row-major one to 3e-14.
+    sums, a_one = _limit_sums(
+        qv, spec.policy, xs[order],
+        lambda k: np.array((limit_coefficients(spec, f, k), np.ones(k + 1))).T, (f_end, 1.0),
+    )
     out = np.empty(len(xs))
-    out[xs == 0.0] = coeffs[0]  # p_{inf,k}(q;0) = [k = 0]
+    out[xs == 0.0] = a_one[0, 0]  # p_{inf,k}(q;0) = [k = 0]
     out[xs == 1.0] = f_end
-    # The tail past the cap, in the scale of its row: log (x;q)_inf is in
-    # both, so the row's rounding of it still cancels.  A row below the cap
-    # leaves out its k in (K, cap], whose weights are below rel_eps, and its
-    # tail is smaller still.
-    tail = np.exp((cap + 1) * log_x + log_pi - basis._euler_table(qv)[1] - np.log1p(-x_in))
-    sums = np.multiply.outer(tail, (f_end, 1.0))
-    # log p_{inf,k}(q;x) = k log x - log c_k + log (x;q)_inf.  Column-major
-    # (A_k, 1): OpenBLAS sums that product to 5e-15 of per-x dot products on
-    # grid 1001, the row-major one to 3e-14.
-    a_one = np.array((coeffs, np.ones(len(coeffs)))).T
-    right = np.ones((3, len(coeffs)))  # [k, -log c_k, 1] per column
-    right[0] = np.arange(len(coeffs))
-    np.negative(basis._log_c_row(qv, len(coeffs) - 1), out=right[1])
-    buf = np.empty(max(BLOCK_ENTRIES, len(coeffs)))
-    for rows, a, b in _blocks(np.zeros_like(K), K + 1):
-        sums[rows] += _jackson_block(_product(buf, left[rows], right[:, a:b]), a_one[a:b])
     out[order] = sums[:, 0] / sums[:, 1]
     return _shaped(out, x)
+
+
+def limit_basis_identity_sums(q, x, policy=DEFAULT_POLICY):
+    """Sums s_m = sum_k (1-q^k)^m p_{inf,k}(q;x) for m = 0, 1, 2, through
+    _limit_sums with the columns (1, w_k, w_k^2), w_k = 1 - q^k, and end 1.
+
+    Contract: s0 = 1, s1 = x, s2 = x^2 + (1-q)x(1-x) on [0, 1).
+    """
+    qv = as_q(q)
+    if qv == 1.0 or not (0.0 <= x < 1.0):
+        raise ValueError("identity sums require q < 1 and x in [0, 1)")
+    if x == 0.0:  # p_{inf,k}(q;0) = [k = 0] and w_0 = 0
+        return 1.0, 0.0, 0.0
+
+    def columns(K):
+        return np.power.outer(-np.expm1(np.arange(K + 1) * math.log(qv)), (0.0, 1.0, 2.0))
+
+    sums, _ = _limit_sums(qv, policy, np.array([float(x)]), columns, np.ones(3))
+    return tuple(map(float, sums[0]))
 
 
 def apply(spec, f, x):

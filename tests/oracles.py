@@ -9,10 +9,18 @@ import numpy as np
 from scipy import integrate
 
 from qapprox import __version__
-from qapprox.basis import basis_row
+from qapprox.basis import _euler_table, _log_c_row, basis_row
 from qapprox.durrmeyer import finite_inner
 from qapprox.funcreg import builtin
-from qapprox.qcore import jackson_integral, q_binomial, q_integer
+from qapprox.qcore import (
+    DEFAULT_POLICY,
+    SeriesLimitError,
+    as_q,
+    jackson_integral,
+    log_q_pochhammer_inf,
+    q_binomial,
+    q_integer,
+)
 from qapprox.reporting import format_value, meta_lines
 from qapprox.statconv import window
 
@@ -23,6 +31,32 @@ def direct_basis(n, k, q, x):
     for s in range(n - k):
         poch *= 1.0 - q**s * x
     return q_binomial(n, k, q) * x**k * poch
+
+
+def log_limit_row(q, x, K=None, policy=DEFAULT_POLICY):
+    """log p_{inf,k}(q;x) for k = 0..K at one x in [0, 1]; -inf where the basis vanishes.
+
+    log p_{inf,k} = k log x + log (x;q)_inf - log c_k, one x at a time.  For
+    x < 1, K defaults to the smallest K past which every basis value is below
+    rel_eps, with no cap and no tail term: the full scalar row.
+    """
+    qv = as_q(q)
+    if qv == 1.0:
+        raise ValueError("the limit basis requires q < 1")
+    if not (0.0 <= x <= 1.0):
+        raise ValueError("x must lie in [0, 1]")
+    log_pi = log_q_pochhammer_inf(float(x), qv, policy)
+    if x == 0.0:  # p_{inf,k}(q;0) = [k = 0]
+        row = np.full(1 if K is None else K + 1, -math.inf)
+        row[0] = 0.0
+        return row
+    log_x = math.log(x)
+    if K is None:
+        top = math.log(policy.rel_eps) - 2.0 - log_pi + _euler_table(qv)[1]
+        K = int(max(8.0, math.ceil(top / log_x)))
+        if K > policy.max_terms:
+            raise SeriesLimitError("limit operator k-series exceeds max_terms")
+    return np.arange(K + 1) * log_x + log_pi - _log_c_row(qv, K)
 
 
 def coefficient_finite(spec, k, f):

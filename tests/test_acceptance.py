@@ -12,6 +12,7 @@ import time
 import numpy as np
 from click.testing import CliRunner
 
+from qapprox import limit_basis_identity_sums
 from qapprox.analysis import (
     GridSpec,
     basis_inequality_check,
@@ -19,7 +20,7 @@ from qapprox.analysis import (
     q_to_one_experiment,
     rate_experiment,
 )
-from qapprox.basis import INFINITE, limit_basis_identity_sums
+from qapprox.basis import INFINITE
 from qapprox.cli import main
 from qapprox.durrmeyer import (
     OperatorSpec,

@@ -133,6 +133,11 @@ def test_basis_inequality():
         basis_inequality_check(5, 1.0, GridSpec(11))
 
 
+def test_basis_inequality_skips_subnormal_pairs():
+    # at n = 200, q = 0.9 some p_nk underflow to 0 where p_inf,k is subnormal
+    assert basis_inequality_check(200, 0.9, GridSpec(101)) <= 0.0
+
+
 @pytest.mark.parametrize(
     "n, q, total",
     [(5, 0.5, "0x1.4e5e6c06ab7e9p+5"), (20, 0.8, "0x1.7763c15b898efp+5"),

@@ -23,7 +23,7 @@ EXPORTS = {
 # need live in tests/oracles.py
 REMOVED = {
     "q_pochhammer", "BasisPoint", "bernstein_basis", "coefficient_finite",
-    "coefficient_limit", "registry_samples", "_values",
+    "coefficient_limit", "registry_samples", "_values", "log_limit_row", "_limit_point",
 }
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from oracles import direct_basis
-from qapprox.basis import basis_row, limit_basis, limit_basis_identity_sums, log_limit_basis
+from qapprox import limit_basis_identity_sums
+from qapprox.basis import basis_row, limit_basis, log_limit_basis
 
 QS = [0.3, 0.6, 0.9, 1.0]
 XS = np.linspace(0.0, 1.0, 101)

@@ -92,6 +92,19 @@ def test_moments_verify_threshold(runner, tmp_path):
     assert "abs_dev" in out.read_text()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["eval", "--limit", "--q", "0.5", "--f", "t", "--grid", "5"], ["moments-verify"]],
+    ids=["eval", "moments-verify"],
+)
+def test_unwritable_output_is_a_config_error(runner, tmp_path, args):
+    out = tmp_path / "missing" / "x.csv"
+    result = runner.invoke(main, args + ["--out", str(out)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.stderr.splitlines() == [f"cannot write {out}: No such file or directory"]
+
+
 def test_density_examples(runner):
     result = runner.invoke(
         main, ["density", "--set", "squares", "--gamma", "1", "--n", "10000"]

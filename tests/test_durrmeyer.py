@@ -10,15 +10,15 @@ from oracles import (
     coefficient_finite,
     direct_basis,
     jackson_coefficients,
+    log_limit_row,
     registry_samples,
 )
+from qapprox import limit_basis_identity_sums
 from qapprox.analysis import GridSpec
 from qapprox.basis import (
     INFINITE,
     basis_row,
     limit_basis,
-    limit_basis_identity_sums,
-    log_limit_row,
 )
 from qapprox.durrmeyer import (
     OperatorSpec,
@@ -427,7 +427,9 @@ def test_limit_series_cap(q, cap):
 
 
 def test_limit_series_cap_stays_inside_apply_limit():
-    # the scalar basis rows keep their full truncation index and no tail term
+    # the scalar basis rows keep their full truncation index and no tail term;
+    # the identity sums stop at the cap and close the series with its tail,
+    # so they meet the contract at least as closely as the full rows' sums
     for q, x, K, last in ((0.5, 0.99, 2950, -34.23765052497977),
                           (0.9, 0.999, 27342, -34.23640683209257),
                           (0.999, 0.995, 11720, -34.24488385020459)):
@@ -435,7 +437,9 @@ def test_limit_series_cap_stays_inside_apply_limit():
         assert len(row) == K + 1 and row[-1] == last
         p = np.exp(row)
         w = 1.0 - q ** np.arange(K + 1)
-        assert limit_basis_identity_sums(q, x) == (p.sum(), w @ p, (w * w) @ p)
+        want = np.array((1.0, x, x * x + (1 - q) * x * (1 - x)))
+        full = np.abs(np.array((p.sum(), w @ p, (w * w) @ p)) - want)
+        assert np.all(np.abs(np.array(limit_basis_identity_sums(q, x)) - want) <= full + 1e-14)
     # the cap is what the terms count against, whatever x
     f = resolve("t")
     with pytest.raises(SeriesLimitError):
@@ -445,6 +449,16 @@ def test_limit_series_cap_stays_inside_apply_limit():
     spec = OperatorSpec(INFINITE, 0.9, policy=TruncationPolicy(max_terms=400))
     assert apply_limit(spec, f, 1 - 1e-6) == pytest.approx(limit_moment(0.9, StancuParams(), 1, 1 - 1e-6),
                                                          rel=0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("q", [0.5, 0.9, 0.99, 0.999])
+def test_limit_identity_sums_near_one(q):
+    # the capped kernel and its tail answer every x below 1 in a fixed number of terms
+    for x in (0.999, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12, math.nextafter(1.0, 0.0)):
+        s0, s1, s2 = limit_basis_identity_sums(q, x)
+        assert s0 == pytest.approx(1.0, rel=0.0, abs=1e-11)
+        assert s1 == pytest.approx(x, rel=0.0, abs=1e-11)
+        assert s2 == pytest.approx(x * x + (1 - q) * x * (1 - x), rel=0.0, abs=1e-11)
 
 
 KINKED = [  # (f, the values where f has a kink)
