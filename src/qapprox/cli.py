@@ -5,7 +5,9 @@ Exit codes: 0 ok, 1 an assertion threshold failed (report still written),
 """
 
 import contextlib
+import errno
 import math
+import os
 import sys
 
 import click
@@ -41,6 +43,19 @@ def _nonempty(values, text):
     return values
 
 
+def _cannot_write(out, reason):
+    click.echo(f"cannot write {out}: {reason}", err=True)
+    sys.exit(EXIT_CONFIG)
+
+
+def _out_folder_exists(ctx, param, out):
+    """A missing --out folder exits with code 2 before the work; the file is
+    opened only to write the report, so a failed run leaves it as it was."""
+    if out != "-" and not os.path.isdir(os.path.dirname(out) or "."):
+        _cannot_write(out, os.strerror(errno.ENOENT))
+    return out
+
+
 @contextlib.contextmanager
 def _output(out):
     """open_output(out); a path that cannot be opened exits with code 2."""
@@ -48,8 +63,7 @@ def _output(out):
         try:
             stream = stack.enter_context(open_output(out))
         except OSError as exc:
-            click.echo(f"cannot write {out}: {exc.strerror or exc}", err=True)
-            sys.exit(EXIT_CONFIG)
+            _cannot_write(out, exc.strerror or exc)
         yield stream
 
 
@@ -62,7 +76,8 @@ def _write(out, fmt, columns, rows, meta):
 
 
 def _common(fn):
-    fn = click.option("--out", default="-", show_default=True, help="output path ('-' = stdout)")(fn)
+    fn = click.option("--out", default="-", show_default=True, callback=_out_folder_exists,
+                      help="output path ('-' = stdout)")(fn)
     fn = click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)(fn)
     return fn
 

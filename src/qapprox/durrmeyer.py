@@ -43,10 +43,9 @@ one rank-3 matrix product.
 On the limit side the node count, the windows and the row blocks depend on
 q and the TruncationPolicy only, not on f or the shifts.  They form the
 plan of (q, policy) (_limit_plan, a bounded LRU), which every f shares.
-It grows on demand: a k_max past the plan's rebuilds it to that k_max,
-and a smaller one takes its blocks cut at k_max + 1, which are the blocks
-of those rows themselves.  The finite side finds its windows per call, as
-each n has its own.
+It is built once up to K_cap (below), and limit_coefficients takes k_max
+up to K_cap only.  The finite side finds its windows per call, as each n
+has its own.
 
 The limit series is summed by one kernel, _limit_sums, for its two
 callers: apply_limit (columns A_k and 1) and limit_basis_identity_sums
@@ -86,9 +85,9 @@ class StancuParams:
     vartheta: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 <= self.varpi <= self.vartheta):
+        if not (0.0 <= self.varpi <= self.vartheta < math.inf):
             raise ValueError(
-                f"Stancu shifts require 0 <= varpi <= vartheta, got "
+                f"Stancu shifts require finite 0 <= varpi <= vartheta, got "
                 f"({self.varpi}, {self.vartheta})"
             )
 
@@ -335,87 +334,67 @@ def _limit_slot(spec, f):
     return [np.empty(0)]
 
 
-class _LimitPlan:
-    """The part of the A_k that depends on (q, policy) only: the node count
-    J, and the node window [lo_k, hi_k) of each k with the row blocks of
-    _blocks(lo, hi), for k up to the largest k_max built so far."""
-
-    def __init__(self, J):
-        self.J = J
-        self.lo = self.hi = np.empty(0, dtype=int)
-        self.blocks = []
-
-    def blocks_to(self, k_max):
-        """The blocks of rows 0..k_max.  _blocks is greedy from row 0, so they
-        are the plan's blocks cut at k_max + 1, the column range of the cut
-        block taken from its kept rows: the same as _blocks on the prefix."""
-        for ks, a, b in self.blocks:
-            if ks.start > k_max:
-                return
-            if ks.stop > k_max + 1:
-                ks = slice(ks.start, k_max + 1)
-                a, b = int(self.lo[ks].min()), int(self.hi[ks].max())
-            yield ks, a, b
-
-
 @lru_cache(maxsize=64)
 def _limit_plan(qv, policy):
-    """The _LimitPlan of (q, policy), shared by every f and shift pair; the
-    limit coefficients grow it on demand."""
+    """(J, blocks) of (q, policy): the node count, and _blocks over the node
+    windows of every k = 0..K_cap.  Neither depends on f or the shifts."""
     # node count large enough that every A_k tail is below rel_eps
     J = int(math.ceil((-math.log(policy.rel_eps) + 6.0) / (-math.log(qv)))) + 3
     if J > policy.max_terms:
         raise SeriesLimitError("limit coefficient node count exceeds max_terms")
-    return _LimitPlan(J)
+    left, right = _limit_factors(qv, _series_cap(qv, policy), J)
+    rates, neg_log_c, g = left[:, 0], left[:, 2], right[1]
+    # e_k(j+1) - e_k(j) = rate_k - log(1 - q^(j+1)): the peak is the first
+    # j where that step is not positive
+    peak = np.searchsorted(np.log1p(-(qv ** np.arange(J))[1:]), rates)
+    cut = math.log(policy.rel_eps / J) - neg_log_c
+    lo, hi = _node_windows(lambda j: j * rates + g[j], peak, cut, J)
+    return J, list(_blocks(lo, hi))
+
+
+def _limit_factors(qv, K, J):
+    """The factors of log w_kj = j rate_k + g_j - log c_k, k = 0..K and
+    j < J, as the rows [rate_k, 1, -log c_k] and the columns [j, g_j, 1],
+    with rate_k = (k + 1) log q and g_j = log prod_{i>j} (1 - q^i)."""
+    left, right = np.ones((K + 1, 3)), np.ones((3, J))
+    np.multiply(np.arange(1, K + 2), math.log(qv), out=left[:, 0])
+    np.negative(basis._log_c_row(qv, K), out=left[:, 2])
+    right[0] = np.arange(J)
+    np.subtract(basis._euler_table(qv)[1], basis._log_c_row(qv, J - 1), out=right[1])
+    return left, right
 
 
 def limit_coefficients(spec, f, k_max):
-    """A_k(f) for k = 0..k_max, read-only; a longer cached array is reused.
+    """A_k(f) for k = 0..k_max, read-only; k_max is at most K_cap
+    (_series_cap), past which the series needs no A_k.
 
     A_k = sum_j w_kj f_j / sum_j w_kj over the node window of each k (see
     the module docstring), with log w_kj = j rate_k + g_j - log c_k built
-    per block as [rate_k, 1, -log c_k] . [j, g_j, 1].  The node count, the
-    windows and the row blocks come from the plan of (q, policy)
-    (_limit_plan), which depends on neither f nor the shifts: a k_max past
-    the plan's rebuilds it to k_max, a smaller one uses its first k_max + 1
-    rows.  apply_limit asks for k_max up to _series_cap at most.
+    per block as [rate_k, 1, -log c_k] . [j, g_j, 1].  The node count and
+    the row blocks come from the plan of (q, policy) (_limit_plan).  The
+    blocks up to the one that holds k_max are computed whole, and the
+    longest array is kept per (spec, f), so each A_k is the same whichever
+    k_max, f or shift pair came first.
     """
     if not spec.is_limit:
         raise ValueError("limit_coefficients requires the limit operator")
+    qv, policy = as_q(spec.q), spec.policy
+    if k_max > _series_cap(qv, policy):
+        raise ValueError("limit_coefficients takes k_max up to K_cap only")
     slot = _limit_slot(spec, f)
     if len(slot[0]) > k_max:
         return slot[0][: k_max + 1]
-    qv = as_q(spec.q)
-    policy = spec.policy
-    plan = _limit_plan(qv, policy)
-    J = plan.J
-    lnq = math.log(qv)
-    # log w_kj = j rate_k + g_j - log c_k = [rate_k, 1, -log c_k] . [j, g_j, 1]
-    # with g_j = log prod_{i>j} (1 - q^i); the factors are the only copies
-    left, right = np.ones((k_max + 1, 3)), np.ones((3, J))
-    rates = np.multiply(np.arange(1, k_max + 2), lnq, out=left[:, 0])
-    neg_log_c = np.negative(basis._log_c_row(qv, k_max), out=left[:, 2])
-    right[0] = np.arange(J)
-    g = np.subtract(basis._euler_table(qv)[1], basis._log_c_row(qv, J - 1), out=right[1])
-    t_nodes = qv ** np.arange(J)
+    J, blocks = _limit_plan(qv, policy)
+    blocks = [block for block in blocks if block[0].start <= k_max]
+    left, right = _limit_factors(qv, blocks[-1][0].stop - 1, J)
     # columns f and 1: one product gives each A_k and its weight sum
-    f_one = np.column_stack((_finite_values(f, limit_inner(qv, spec.stancu, t_nodes)), np.ones(J)))
-    if len(plan.lo) <= k_max:
-        # e_k(j+1) - e_k(j) = rate_k - log(1 - q^(j+1)): the peak is the first
-        # j where that step is not positive
-        peak = np.searchsorted(np.log1p(-t_nodes[1:]), rates)
-        cut = math.log(policy.rel_eps / J) - neg_log_c
-        lo, hi = _node_windows(lambda j: j * rates + g[j], peak, cut, J)
-        plan.lo, plan.hi, plan.blocks = lo, hi, list(_blocks(lo, hi))
-    del t_nodes  # the block loop sets the peak memory
-    sums = np.empty((k_max + 1, 2))
-    buf = np.empty(max(BLOCK_ENTRIES, J))  # reused: a fresh block of pages costs as much as its exp
-    for ks, a, b in plan.blocks_to(k_max):
-        sums[ks] = _jackson_block(_product(buf, left[ks], right[:, a:b]), f_one[a:b])
+    f_one = np.ones((J, 2))
+    f_one[:, 0] = _finite_values(f, limit_inner(qv, spec.stancu, qv ** np.arange(J)))
+    sums = _block_sums(left, right, f_one, blocks)
     out = sums[:, 0] / sums[:, 1]
     out.flags.writeable = False
     slot[0] = out
-    return out
+    return out[: k_max + 1]
 
 
 def _node_windows(log_w, peak, cut, J):
@@ -469,9 +448,16 @@ def _blocks(lo, hi):
         start += n
 
 
-def _product(buf, left, right):
-    """left @ right (rows x 3 times 3 x columns) written into the front of buf."""
-    return np.matmul(left, right, out=buf[: len(left) * right.shape[1]].reshape(len(left), -1))
+def _block_sums(left, right, cols, blocks):
+    """The rows ks of exp(left @ right[:, a:b]) @ cols[a:b] for each block
+    (ks, a, b), the blocks covering every row: one rank-3 product per block, in
+    one buffer sized for the largest block (fresh pages cost as much as the exp)."""
+    out = np.empty((len(left), cols.shape[1]))
+    buf = np.empty(max(((ks.stop - ks.start) * (b - a) for ks, a, b in blocks), default=0))
+    for ks, a, b in blocks:
+        w = buf[: (ks.stop - ks.start) * (b - a)].reshape(-1, b - a)
+        out[ks] = _jackson_block(np.matmul(left[ks], right[:, a:b], out=w), cols[a:b])
+    return out
 
 
 def _jackson_block(w, f_one):
@@ -479,7 +465,7 @@ def _jackson_block(w, f_one):
     sum_j w_rj f_one[j, 1]): w is exponentiated in place and contracted with
     the two columns of f_one in one product.
 
-    The limit side builds each block as one rank-3 product (_product),
+    The limit side builds each block as one rank-3 product (_block_sums),
     log w_rj = [rate_r, 1, -lc_r] . [j, g_j, 1]: the rows are k and the
     columns Jackson nodes for A_k, the rows x and the columns k for the grid.
     That takes well under half the time of three broadcast passes.  The finite
@@ -530,14 +516,12 @@ def _limit_sums(qv, policy, x_in, columns, end):
     # leaves out its k in (K, cap], whose weights are below rel_eps, and its
     # tail is smaller still.
     tail = np.exp((cap + 1) * log_x + log_pi - basis._euler_table(qv)[1] - np.log1p(-x_in))
-    sums = np.multiply.outer(tail, end)
     # log p_{inf,k}(q;x) = k log x - log c_k + log (x;q)_inf
     right = np.ones((3, len(cols)))  # [k, -log c_k, 1] per column
     right[0] = np.arange(len(cols))
     np.negative(basis._log_c_row(qv, len(cols) - 1), out=right[1])
-    buf = np.empty(max(BLOCK_ENTRIES, len(cols)))
-    for rows, a, b in _blocks(np.zeros_like(K), K + 1):
-        sums[rows] += _jackson_block(_product(buf, left[rows], right[:, a:b]), cols[a:b])
+    sums = _block_sums(left, right, cols, list(_blocks(np.zeros_like(K), K + 1)))
+    sums += np.multiply.outer(tail, end)
     return sums, cols
 
 

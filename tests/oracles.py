@@ -10,7 +10,7 @@ from scipy import integrate
 
 from qapprox import __version__
 from qapprox.basis import _euler_table, _log_c_row, basis_row
-from qapprox.durrmeyer import finite_inner
+from qapprox.durrmeyer import finite_inner, limit_inner
 from qapprox.funcreg import builtin
 from qapprox.qcore import (
     DEFAULT_POLICY,
@@ -90,6 +90,23 @@ def jackson_coefficients(specs, fs, ks, extra=4000):
         e = (k + 1) * js * np.log(q_ext) + log_c[js + n - k] - log_c[js]
         w = np.exp(e - e.max())
         out.append(w @ cols / w.sum())
+    return np.array(out, dtype=float)
+
+
+def limit_jackson_coefficients(spec, f, ks):
+    """A_k(f) of the limit operator for the k in ks: the Jackson sum over
+    every node q^j down to 1e-22, normalised by its own weight sum, with the
+    weights q^{(k+1) j} / c_j formed and summed in extended precision."""
+    q = spec.q
+    js = np.arange(int(math.log(1e-22) / math.log(q)))
+    q_ext = np.longdouble(q)
+    log_c = np.concatenate(([0], np.cumsum(np.log1p(-(q_ext ** js[1:])))))
+    f_nodes = np.broadcast_to(f(limit_inner(q, spec.stancu, q**js)), js.shape).astype(np.longdouble)
+    out = []
+    for k in ks:
+        e = (k + 1) * js * np.log(q_ext) - log_c
+        w = np.exp(e - e.max())
+        out.append(w @ f_nodes / w.sum())
     return np.array(out, dtype=float)
 
 

@@ -24,6 +24,7 @@ EXPORTS = {
 REMOVED = {
     "q_pochhammer", "BasisPoint", "bernstein_basis", "coefficient_finite",
     "coefficient_limit", "registry_samples", "_values", "log_limit_row", "_limit_point",
+    "_LimitPlan", "_product",
 }
 
 

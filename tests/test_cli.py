@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from qapprox import durrmeyer, moments
 from qapprox.cli import _index_set, main
 from qapprox.durrmeyer import OperatorSpec, StancuParams
 from qapprox.moments import finite_moment, limit_moment
@@ -103,6 +104,41 @@ def test_unwritable_output_is_a_config_error(runner, tmp_path, args):
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)  # no traceback
     assert result.stderr.splitlines() == [f"cannot write {out}: No such file or directory"]
+
+
+@pytest.mark.parametrize(
+    "args, patched",
+    [(["eval", "--limit", "--q", "0.5", "--f", "t", "--grid", "5"], "apply"),
+     (["moments-verify"], "verify_moments")],
+    ids=["eval", "moments-verify"],
+)
+def test_missing_output_folder_is_reported_before_the_work(runner, tmp_path, monkeypatch, args, patched):
+    def compute(*args, **kwargs):
+        pytest.fail("the command computed before checking --out")
+
+    monkeypatch.setattr(durrmeyer if patched == "apply" else moments, patched, compute)
+    out = tmp_path / "missing" / "x.csv"
+    result = runner.invoke(main, args + ["--out", str(out)])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [f"cannot write {out}: No such file or directory"]
+
+
+def test_failed_computation_leaves_the_output_file_unchanged(runner, tmp_path):
+    out = tmp_path / "x.csv"
+    out.write_text("kept\n")
+    result = runner.invoke(
+        main, ["eval", "--n", "3", "--q", "0.5", "--f", "t", "--out", str(out)],
+        env={"QAPPROX_MAX_TERMS": "5"},
+    )
+    assert result.exit_code == 3
+    assert out.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("shifts", [["--vartheta", "inf"], ["--varpi", "inf", "--vartheta", "inf"]])
+def test_non_finite_shifts_are_config_errors(runner, shifts):
+    result = runner.invoke(main, ["eval", "--n", "5", "--q", "0.9", "--f", "t", "--grid", "3"] + shifts)
+    assert result.exit_code == 2
+    assert "Stancu shifts require finite" in result.stderr
 
 
 def test_density_examples(runner):

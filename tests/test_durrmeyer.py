@@ -10,6 +10,7 @@ from oracles import (
     coefficient_finite,
     direct_basis,
     jackson_coefficients,
+    limit_jackson_coefficients,
     log_limit_row,
     registry_samples,
 )
@@ -65,6 +66,9 @@ def test_stancu_validation():
         StancuParams(2.0, 1.0)
     with pytest.raises(ValueError):
         StancuParams(-1.0, 2.0)
+    for varpi, vartheta in ((0.0, math.inf), (math.inf, math.inf), (0.0, math.nan), (-math.inf, 1.0)):
+        with pytest.raises(ValueError):
+            StancuParams(varpi, vartheta)
     with pytest.raises(ValueError):
         OperatorSpec(INFINITE, 1.0)
     with pytest.raises(ValueError):
@@ -228,11 +232,18 @@ def test_batched_apply_matches_scalar_references(q, stancu):
     if q == 1.0:
         return
     spec = OperatorSpec(INFINITE, q, stancu)
-    coeffs = limit_coefficients(spec, f, 599)
+    coeffs = _limit_coefficients_to(spec, f, 599)
     want = [sum(c * limit_basis(k, q, x) for k, c in enumerate(coeffs)) for x in xs[:-1]]
     # x = 1 carries the continuous extension f(inner(1)), where every p_inf,k vanishes
     want.append(f(limit_inner(q, stancu, 1.0)))
     assert apply_limit(spec, f, xs) == pytest.approx(want, rel=1e-12)
+
+
+def _limit_coefficients_to(spec, f, k_max):
+    # A_k for k <= K_cap from limit_coefficients, the rest from the dense oracle
+    cap = _series_cap(spec.q, spec.policy)
+    head = limit_coefficients(spec, f, min(k_max, cap))
+    return np.concatenate((head, limit_jackson_coefficients(spec, f, range(cap + 1, k_max + 1))))
 
 
 def test_limit_coefficient_cache_is_bounded():
@@ -253,24 +264,24 @@ def _clear_limit_caches():
 @pytest.mark.parametrize("q", PLAN_QS)
 @pytest.mark.parametrize("cut", ["early", "late"])
 def test_limit_plan_gives_the_cold_coefficients(q, cut):
-    # the plan of (q, policy) is built by another f and shift pair, once past
-    # k_max (its prefix is cut) and once short of it (it grows); an early cut
-    # narrows the column range of its block
+    # the plan of (q, policy) is first used by another f and shift pair, with
+    # a larger and a smaller k_max; and the same f asked for a larger k_max
+    # first gives the same A_k
     spec = OperatorSpec(INFINITE, q, StancuParams(1.0, 2.0))
     f = from_expression("sin(3*t)+abs(t-0.37)")
     other = OperatorSpec(INFINITE, q), from_expression("exp(-2*t)*t^2")
-    k_max = 13 if cut == "early" else _series_cap(q, DEFAULT_POLICY) // 4
+    cap = _series_cap(q, DEFAULT_POLICY)
+    k_max = 13 if cut == "early" else cap // 4
     _clear_limit_caches()
     cold = limit_coefficients(spec, f, k_max).copy()
-    for warm_k in (2 * k_max, k_max // 2):
+    for warm_k in (min(2 * k_max, cap), k_max // 2):
         _clear_limit_caches()
         limit_coefficients(*other, warm_k)
-        plan = _limit_plan(q, DEFAULT_POLICY)
-        if warm_k > k_max:  # a block of the plan spans the cut
-            assert any(ks.start <= k_max < ks.stop - 1 for ks, _, _ in plan.blocks)
         assert np.array_equal(limit_coefficients(spec, f, k_max), cold)
-        assert len(plan.lo) == max(warm_k, k_max) + 1
-        assert plan.lo.dtype.kind == plan.hi.dtype.kind == "i"
+        _limit_slot.cache_clear()
+        assert np.array_equal(limit_coefficients(spec, f, cap)[: k_max + 1], cold)
+    with pytest.raises(ValueError):
+        limit_coefficients(spec, f, cap + 1)
 
 
 @pytest.mark.parametrize("q", PLAN_QS)
@@ -324,16 +335,10 @@ def test_limit_coefficients_match_dense_jackson_sum(q):
     stancu = StancuParams(1.0, 2.0)
     spec = OperatorSpec(INFINITE, q, stancu)
     f = from_expression("sin(3*t)+t^2")
-    k_max = len(log_limit_row(q, 0.995)) - 1
+    k_max = min(len(log_limit_row(q, 0.995)) - 1, _series_cap(q, DEFAULT_POLICY))
     got = limit_coefficients(spec, f, k_max)
-    js = np.arange(int(math.log(1e-22) / math.log(q)))
-    log_c = np.cumsum(np.log1p(-(q ** js[1:])).astype(np.longdouble))
-    log_c = np.concatenate(([0.0], log_c.astype(float)))
-    f_nodes = f(limit_inner(q, stancu, q**js))
-    for k in sorted(set(np.linspace(0, k_max, 40, dtype=int))):
-        e = js * (k + 1) * math.log(q) - log_c
-        w = np.exp(e - e.max())
-        assert got[k] == pytest.approx((w @ f_nodes) / w.sum(), rel=1e-13)
+    ks = sorted(set(np.linspace(0, k_max, 40, dtype=int)))
+    assert got[ks] == pytest.approx(limit_jackson_coefficients(spec, f, ks), rel=1e-13)
 
 
 def test_classical_operator_beyond_float_binomials_is_a_numeric_error():
@@ -361,7 +366,7 @@ def _per_x_limit(spec, f, xs):
             out.append(f(limit_inner(spec.q, spec.stancu, 1.0)))
             continue
         p = np.exp(log_limit_row(spec.q, x, policy=spec.policy))
-        out.append(p @ limit_coefficients(spec, f, len(p) - 1) / p.sum())
+        out.append(p @ _limit_coefficients_to(spec, f, len(p) - 1) / p.sum())
     return np.reshape(out, np.shape(xs))
 
 
@@ -398,6 +403,21 @@ def test_apply_limit_working_set_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_one_x_working_set_is_small():
+    # the kernel's buffer is sized by its largest block, here one row
+    spec = OperatorSpec(INFINITE, 0.9)
+    f = resolve("sin(3*t)")
+    for call in (lambda: limit_basis_identity_sums(0.9, 0.5), lambda: apply_limit(spec, f, 0.5)):
+        call()  # tables, plan and coefficients built and cached
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * 2**20
 
 
 NEAR_ONE = [1.0 - 1e-4, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12]
