@@ -43,6 +43,13 @@ def _nonempty(values, text):
     return values
 
 
+def _tolerance(ctx, param, tol):
+    """A threshold must be a number >= 0: a NaN one would pass every check."""
+    if not tol >= 0.0:
+        raise click.BadParameter(f"must be a number >= 0, got {tol}")
+    return tol
+
+
 def _cannot_write(out, reason):
     click.echo(f"cannot write {out}: {reason}", err=True)
     sys.exit(EXIT_CONFIG)
@@ -145,7 +152,8 @@ def cmd_eval(n, use_limit, q, varpi, vartheta, fsrc, grid_points, out, fmt, rel_
 
 
 @main.command("moments-verify")
-@click.option("--tol", default=1e-9, show_default=True, help="max allowed abs deviation")
+@click.option("--tol", default=1e-9, show_default=True, callback=_tolerance,
+              help="max allowed abs deviation")
 @_common
 def cmd_moments_verify(tol, out, fmt):
     """Compare closed-form moments against the operator series path."""
@@ -156,7 +164,7 @@ def cmd_moments_verify(tol, out, fmt):
             report.to_json(stream, meta=meta)
         else:
             report.to_csv(stream, meta=meta)
-    if report.max_abs_dev > tol:
+    if not report.max_abs_dev <= tol:  # a NaN deviation fails too
         click.echo(f"max_abs_dev {report.max_abs_dev:g} exceeds tol {tol:g}", err=True)
         sys.exit(EXIT_THRESHOLD)
 
@@ -249,7 +257,8 @@ def cmd_fixed(fsrc, q, varpi, vartheta, grid_points, out, fmt, rel_eps, max_term
 @click.option("--n", type=int, required=True)
 @click.option("--q", type=float, required=True)
 @click.option("--grid", "grid_points", type=int, default=101, show_default=True)
-@click.option("--tol", default=1e-12, show_default=True)
+@click.option("--tol", default=1e-12, show_default=True, callback=_tolerance,
+              help="max allowed violation")
 @_common
 @_series
 def cmd_ineq(n, q, grid_points, tol, out, fmt, rel_eps, max_terms):
@@ -267,7 +276,7 @@ def cmd_ineq(n, q, grid_points, tol, out, fmt, rel_eps, max_terms):
 
     rows = _run(compute)
     _write(out, fmt, ("n", "q", "max_violation"), rows, meta)
-    if rows[0][2] > tol:
+    if not rows[0][2] <= tol:  # a NaN violation fails too
         click.echo(f"max violation {rows[0][2]:g} exceeds tol {tol:g}", err=True)
         sys.exit(EXIT_THRESHOLD)
 

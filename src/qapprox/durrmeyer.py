@@ -47,11 +47,16 @@ It is built once up to K_cap (below), and limit_coefficients takes k_max
 up to K_cap only.  The finite side finds its windows per call, as each n
 has its own.
 
-The limit series is summed by one kernel, _limit_sums, for its two
-callers: apply_limit (columns A_k and 1) and limit_basis_identity_sums
-(columns 1, w_k and w_k^2).  At x it stops at the truncation index K_x,
-never past K_cap = max(8, ceil(log(rel_eps (1-q)) / log q)), which depends
-on q and rel_eps only: from there on A_k is f(inner(1)) and c_k is c_inf
+The limit series is summed by one kernel, _limit_sums, which takes several
+column sets and builds each block of weights p_{inf,k}(q;x) once for all of
+them.  Its callers are _limit_columns (one set (A_k, 1) per f: apply_limit
+is its one-f case) and limit_basis_identity_sums (the one set 1, w_k and
+w_k^2).  The finite side likewise builds each block of basis rows once per
+call of _finite_columns and contracts it with each f's coefficients.  Each
+column set is its own product, so a row has the bits of its one-f call.
+At x the series stops at the truncation index K_x, never past
+K_cap = max(8, ceil(log(rel_eps (1-q)) / log q)), which depends on q and
+rel_eps only: from there on A_k is f(inner(1)) and c_k is c_inf
 to rel_eps (the limit q-Bernstein behaviour of Il'inskii and Ostrovska, J.
 Approx. Theory 116 (2002)), so the rest of the series is one closed-form
 term, and x up to 1 takes a fixed number of terms.
@@ -314,13 +319,25 @@ def apply_finite(spec, f, x):
     """D_n(f; x) = sum_k A_{nk}(f) p_{nk}(q; x) at a scalar x or an array of x."""
     if spec.is_limit:
         raise ValueError("apply_finite requires a finite degree")
+    return _shaped(_finite_columns(spec, [f], x)[0], x)
+
+
+def _finite_columns(spec, fs, x):
+    """D_n(f; x) for each f of fs at the x of x (raveled), one row per f.
+
+    Each block of basis rows is built once and contracted with each f's
+    coefficients on its own, so every row has the bits of its one-f call.
+    """
     xs = np.asarray(x, dtype=float).ravel()  # the basis rejects x outside [0, 1]
-    coeffs = finite_coefficients(spec, f)
-    out = np.empty(len(xs))
+    coeffs = [finite_coefficients(spec, f) for f in fs]
+    out = np.empty((len(fs), len(xs)))
     rows = max(1, GRID_ENTRIES // (spec.n + 1))
     for i in range(0, len(xs), rows):
-        out[i : i + rows] = basis.basis_matrix(spec.n, spec.q, xs[i : i + rows]) @ coeffs
-    return _shaped(out, x)
+        block = basis.basis_matrix(spec.n, spec.q, xs[i : i + rows])
+        for row, c in zip(out, coeffs):
+            row[i : i + rows] = block @ c
+        del block  # freed before the next block is built
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +407,7 @@ def limit_coefficients(spec, f, k_max):
     # columns f and 1: one product gives each A_k and its weight sum
     f_one = np.ones((J, 2))
     f_one[:, 0] = _finite_values(f, limit_inner(qv, spec.stancu, qv ** np.arange(J)))
-    sums = _block_sums(left, right, f_one, blocks)
+    (sums,) = _block_sums(left, right, [f_one], blocks)
     out = sums[:, 0] / sums[:, 1]
     out.flags.writeable = False
     slot[0] = out
@@ -448,29 +465,32 @@ def _blocks(lo, hi):
         start += n
 
 
-def _block_sums(left, right, cols, blocks):
-    """The rows ks of exp(left @ right[:, a:b]) @ cols[a:b] for each block
-    (ks, a, b), the blocks covering every row: one rank-3 product per block, in
-    one buffer sized for the largest block (fresh pages cost as much as the exp)."""
-    out = np.empty((len(left), cols.shape[1]))
+def _block_sums(left, right, col_sets, blocks):
+    """For each column set cols of col_sets, the rows ks of
+    exp(left @ right[:, a:b]) @ cols[a:b] for each block (ks, a, b), the
+    blocks covering every row.  Each block is one rank-3 product, exponentiated
+    once and contracted with each column set on its own, in one buffer sized
+    for the largest block (fresh pages cost as much as the exp).
+
+    log w_rj = [rate_r, 1, -lc_r] . [j, g_j, 1]: the rows are k and the columns
+    Jackson nodes for A_k, the rows x and the columns k for the series.  That
+    takes well under half the time of three broadcast passes.
+    """
+    outs = [np.empty((len(left), cols.shape[1])) for cols in col_sets]
     buf = np.empty(max(((ks.stop - ks.start) * (b - a) for ks, a, b in blocks), default=0))
     for ks, a, b in blocks:
         w = buf[: (ks.stop - ks.start) * (b - a)].reshape(-1, b - a)
-        out[ks] = _jackson_block(np.matmul(left[ks], right[:, a:b], out=w), cols[a:b])
-    return out
+        np.exp(np.matmul(left[ks], right[:, a:b], out=w), out=w)
+        for out, cols in zip(outs, col_sets):
+            out[ks] = w @ cols[a:b]
+    return outs
 
 
 def _jackson_block(w, f_one):
-    """Per row r of a block of log weights w, (sum_j w_rj f_one[j, 0],
-    sum_j w_rj f_one[j, 1]): w is exponentiated in place and contracted with
-    the two columns of f_one in one product.
-
-    The limit side builds each block as one rank-3 product (_block_sums),
-    log w_rj = [rate_r, 1, -lc_r] . [j, g_j, 1]: the rows are k and the
-    columns Jackson nodes for A_k, the rows x and the columns k for the grid.
-    That takes well under half the time of three broadcast passes.  The finite
-    side adds its per-row Hankel differences to j rate_k - top_k in place.
-    For A_k the second column is 1 and its sum the normaliser: A_k(1) = 1.
+    """Per row k of a block of the finite coefficients' log weights w,
+    (sum_j w_kj f_one[j, 0], sum_j w_kj f_one[j, 1]): w is exponentiated in
+    place and contracted with the two columns (f, 1) of f_one in one product.
+    The second sum is the normaliser, as A_nk(1) = 1.
     """
     np.exp(w, out=w)
     return w @ f_one
@@ -496,46 +516,55 @@ def _truncation_index(qv, log_x, log_pi, policy, cap):
     return K.astype(int)
 
 
-def _limit_sums(qv, policy, x_in, columns, end):
-    """Per x of x_in (in (0, 1), ascending), the row
-    sum_{k<=K_x} columns[k] p_{inf,k}(q;x) + T_x end, and the columns: the
-    callback columns(K) gives rows k = 0..K for the largest K_x, end the
-    columns' value past K_cap, and
+def _limit_sums(qv, policy, x_in, columns, ends):
+    """Per x of x_in (in (0, 1), ascending), the rows
+    sum_{k<=K_x} cols[k] p_{inf,k}(q;x) + T_x end, for each column set cols
+    and its end: the callback columns(K) gives the column sets, rows
+    k = 0..K for the largest K_x, ends their values past K_cap, and
     T_x = sum_{k>K_cap} x^k (x;q)_inf / c_inf
         = x^(K_cap+1) (x;q)_inf / ((1 - x) c_inf).
-    Blocks of x run over k = 0..K_x through the coefficients' kernel."""
+    Returns the sums and the column sets, one of each per end.  Blocks of x
+    run over k = 0..K_x through the coefficients' kernel, each block's
+    weights built once for all column sets."""
     left = np.ones((len(x_in), 3))  # [log x, 1, log (x;q)_inf] per row
     log_x = np.log(x_in, out=left[:, 0])
     log_pi = log_q_pochhammer_inf(x_in, qv, policy)
     left[:, 2] = log_pi
     cap = _series_cap(qv, policy)
     K = _truncation_index(qv, log_x, log_pi, policy, cap)
-    cols = columns(int(K.max(initial=0)))
+    k_top = int(K.max(initial=0))
+    col_sets = columns(k_top)
     # The tail past the cap, in the scale of its row: log (x;q)_inf is in
     # both, so the row's rounding of it still cancels.  A row below the cap
     # leaves out its k in (K, cap], whose weights are below rel_eps, and its
     # tail is smaller still.
     tail = np.exp((cap + 1) * log_x + log_pi - basis._euler_table(qv)[1] - np.log1p(-x_in))
     # log p_{inf,k}(q;x) = k log x - log c_k + log (x;q)_inf
-    right = np.ones((3, len(cols)))  # [k, -log c_k, 1] per column
-    right[0] = np.arange(len(cols))
-    np.negative(basis._log_c_row(qv, len(cols) - 1), out=right[1])
-    sums = _block_sums(left, right, cols, list(_blocks(np.zeros_like(K), K + 1)))
-    sums += np.multiply.outer(tail, end)
-    return sums, cols
+    right = np.ones((3, k_top + 1))  # [k, -log c_k, 1] per column
+    right[0] = np.arange(k_top + 1)
+    np.negative(basis._log_c_row(qv, k_top), out=right[1])
+    sums = _block_sums(left, right, col_sets, list(_blocks(np.zeros_like(K), K + 1)))
+    for s, end in zip(sums, ends):
+        s += np.multiply.outer(tail, end)
+    return sums, col_sets
 
 
 def apply_limit(spec, f, x):
-    """D_inf(f; x) at a scalar x or an array of x.
-
-    The x in (0, 1) are the rows of _limit_sums with the columns (A_k, 1),
-    built once up to the largest K_x, and end (f(inner(1)), 1): the second
-    column is the normaliser, 1 up to the weights below rel_eps that a row
-    below the cap leaves out, so constants come out exact for every x.
-    At x = 1 the continuous extension f(inner(1)) is exact.
-    """
+    """D_inf(f; x) at a scalar x or an array of x."""
     if not spec.is_limit:
         raise ValueError("apply_limit requires the limit operator")
+    return _shaped(_limit_columns(spec, [f], x)[0], x)
+
+
+def _limit_columns(spec, fs, x):
+    """D_inf(f; x) for each f of fs at the x of x (raveled), one row per f.
+
+    The x in (0, 1) are the rows of _limit_sums with one column set (A_k, 1)
+    per f, built once up to the largest K_x, and the end (f(inner(1)), 1):
+    the second column is the normaliser, 1 up to the weights below rel_eps
+    that a row below the cap leaves out, so constants come out exact for
+    every x.  At x = 1 the continuous extension f(inner(1)) is exact.
+    """
     xs = np.asarray(x, dtype=float).ravel()
     if not np.all((xs >= 0.0) & (xs <= 1.0)):
         raise ValueError("x must lie in [0, 1]")
@@ -543,18 +572,22 @@ def apply_limit(spec, f, x):
     inside = np.flatnonzero((xs > 0.0) & (xs < 1.0))
     order = inside[np.argsort(xs[inside], kind="stable")]
     # x = 1: the mass escapes to k = inf, and A_k -> f(inner(1))
-    f_end = f(limit_inner(qv, spec.stancu, 1.0))
+    f_ends = [f(limit_inner(qv, spec.stancu, 1.0)) for f in fs]
+
     # Column-major (A_k, 1): OpenBLAS sums that product to 5e-15 of per-x
     # dot products on grid 1001, the row-major one to 3e-14.
-    sums, a_one = _limit_sums(
-        qv, spec.policy, xs[order],
-        lambda k: np.array((limit_coefficients(spec, f, k), np.ones(k + 1))).T, (f_end, 1.0),
+    def columns(k):
+        return [np.array((limit_coefficients(spec, f, k), np.ones(k + 1))).T for f in fs]
+
+    sums, a_ones = _limit_sums(
+        qv, spec.policy, xs[order], columns, [(f_end, 1.0) for f_end in f_ends]
     )
-    out = np.empty(len(xs))
-    out[xs == 0.0] = a_one[0, 0]  # p_{inf,k}(q;0) = [k = 0]
-    out[xs == 1.0] = f_end
-    out[order] = sums[:, 0] / sums[:, 1]
-    return _shaped(out, x)
+    out = np.empty((len(fs), len(xs)))
+    for row, s, a_one, f_end in zip(out, sums, a_ones, f_ends):
+        row[xs == 0.0] = a_one[0, 0]  # p_{inf,k}(q;0) = [k = 0]
+        row[xs == 1.0] = f_end
+        row[order] = s[:, 0] / s[:, 1]
+    return out
 
 
 def limit_basis_identity_sums(q, x, policy=DEFAULT_POLICY):
@@ -570,9 +603,9 @@ def limit_basis_identity_sums(q, x, policy=DEFAULT_POLICY):
         return 1.0, 0.0, 0.0
 
     def columns(K):
-        return np.power.outer(-np.expm1(np.arange(K + 1) * math.log(qv)), (0.0, 1.0, 2.0))
+        return [np.power.outer(-np.expm1(np.arange(K + 1) * math.log(qv)), (0.0, 1.0, 2.0))]
 
-    sums, _ = _limit_sums(qv, policy, np.array([float(x)]), columns, np.ones(3))
+    (sums,), _ = _limit_sums(qv, policy, np.array([float(x)]), columns, [np.ones(3)])
     return tuple(map(float, sums[0]))
 
 

@@ -7,6 +7,11 @@ display of gamma_n differs from this identity in two places (a q^4 [n]^4
 term where q^3 [n]^4 is forced, and a missing varpi^2 [n+2][n+3] constant
 term); the identity is authoritative, so the corrected coefficients are
 hard-coded here and asserted against the algebraic identity in tests.
+
+verify_moments makes one pass per spec for t^0, t^1 and t^2: one series
+call that builds the basis rows or limit weights once, and one evaluation
+of the three closed forms.  Every value has the bits of its one-monomial
+evaluation.
 """
 
 from dataclasses import dataclass, field
@@ -33,27 +38,39 @@ def finite_moment_at(n, q, stancu, j, x):
     grid; j = 0 gives the ones of x's shape.  finite_moment is its one-spec
     case.
     """
+    if j not in (0, 1, 2):
+        raise ValueError("moment order j must be 0, 1 or 2")
+    return _finite_moments(n, q, stancu, x)[int(j)]
+
+
+def _finite_moments(n, q, stancu, x):
+    """(m0, m1, m2), the closed forms of finite_moment_at for j = 0, 1, 2,
+    from one set of q-integers."""
     vp = stancu.varpi
     vt = stancu.vartheta
     nn = q_integer(n, q)
     n2 = q_integer(n + 2, q)
     n3 = q_integer(n + 3, q)
     q3 = q_integer(3, q)
-    if j == 0:
-        return np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
-    if j == 1:
-        return (nn + vp * n2 + q * x * nn**2) / (n2 * (nn + vt))
-    if j == 2:
-        den = (nn + vt) ** 2 * n2 * n3
-        c2 = q**3 * nn**3 * (nn - 1.0)
-        c1 = (q * (1.0 + q) ** 2 + 2.0 * vp * q**4) * nn**3 + 2.0 * vp * q * q3 * nn**2
-        c0 = (1.0 + q + 2.0 * vp * q**3) * nn**2 + 2.0 * vp * q3 * nn
-        return (c2 * x**2 + c1 * x + c0) / den + vp**2 / (nn + vt) ** 2
-    raise ValueError("moment order j must be 0, 1 or 2")
+    m0 = np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
+    m1 = (nn + vp * n2 + q * x * nn**2) / (n2 * (nn + vt))
+    den = (nn + vt) ** 2 * n2 * n3
+    c2 = q**3 * nn**3 * (nn - 1.0)
+    c1 = (q * (1.0 + q) ** 2 + 2.0 * vp * q**4) * nn**3 + 2.0 * vp * q * q3 * nn**2
+    c0 = (1.0 + q + 2.0 * vp * q**3) * nn**2 + 2.0 * vp * q3 * nn
+    m2 = (c2 * x**2 + c1 * x + c0) / den + vp**2 / (nn + vt) ** 2
+    return m0, m1, m2
 
 
 def limit_moment(q, stancu, j, x):
     """Closed-form D_inf(t^j; x) for j in {0, 1, 2}; accepts array x."""
+    if j not in (0, 1, 2):
+        raise ValueError("moment order j must be 0, 1 or 2")
+    return _limit_moments(q, stancu, x)[int(j)]
+
+
+def _limit_moments(q, stancu, x):
+    """(m0, m1, m2), the closed forms of limit_moment for j = 0, 1, 2."""
     qv = as_q(q)
     if qv == 1.0:
         raise ValueError("limit moments require q < 1")
@@ -61,25 +78,20 @@ def limit_moment(q, stancu, j, x):
     vt = stancu.vartheta
     e = 1.0 - qv
     den = 1.0 + vt * e
-    if j == 0:
-        return np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
-    if j == 1:
-        return (1.0 + qv * (x - 1.0) + vp * e) / den
-    if j == 2:
-        num = (
-            qv**4 * x**2
-            + (qv * (1.0 + qv) * (1.0 - qv**2) + 2.0 * e * qv * vp) * x
-            + ((1.0 + qv) + 2.0 * vp + vp**2) * e**2
-        )
-        return num / den**2
-    raise ValueError("moment order j must be 0, 1 or 2")
+    m0 = np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
+    m1 = (1.0 + qv * (x - 1.0) + vp * e) / den
+    num = (
+        qv**4 * x**2
+        + (qv * (1.0 + qv) * (1.0 - qv**2) + 2.0 * e * qv * vp) * x
+        + ((1.0 + qv) + 2.0 * vp + vp**2) * e**2
+    )
+    return m0, m1, num / den**2
 
 
 def central_moments(spec, x):
     """(delta_n, gamma_n) = (D_n(t-x; x), D_n((t-x)^2; x)) in closed form."""
     if spec.is_limit:
-        m1 = limit_moment(spec.q, spec.stancu, 1, x)
-        m2 = limit_moment(spec.q, spec.stancu, 2, x)
+        _, m1, m2 = _limit_moments(spec.q, spec.stancu, x)
         return m1 - x, m2 - 2.0 * x * m1 + x**2
     qv = as_q(spec.q)
     n = spec.n
@@ -196,15 +208,22 @@ def default_grid():
 
 
 def verify_moments(specs=None, xs=None):
-    """Compare closed-form moments with the operator series path."""
+    """Compare closed-form moments with the operator series path, in one
+    pass per spec for all three monomials."""
     if specs is None or xs is None:
         default_specs, default_xs = default_grid()
         specs = default_specs if specs is None else specs
         xs = default_xs if xs is None else xs
     report = MomentReport()
     xa = np.asarray(xs, dtype=float)
+    monos = list(MONOMIALS.values())
     for spec in specs:
-        for j, mono in MONOMIALS.items():
-            closed = finite_moment(spec, j, xa)
-            report.blocks.append((spec, j, xs, closed, durrmeyer.apply(spec, mono, xa)))
+        if spec.is_limit:
+            closed = _limit_moments(spec.q, spec.stancu, xa)
+            series = durrmeyer._limit_columns(spec, monos, xa)
+        else:
+            closed = _finite_moments(spec.n, as_q(spec.q), spec.stancu, xa)
+            series = durrmeyer._finite_columns(spec, monos, xa)
+        for j in MONOMIALS:
+            report.blocks.append((spec, j, xs, closed[j], series[j]))
     return report

@@ -227,15 +227,16 @@ def _monomial_errors(a, stancu, ks, xs):
     """e_i(k) = max over xs of |D_k(t^i; x) - x^i| at q_k = a^(1/k), i = 0, 1, 2.
 
     One row per k of the index array ks, from the closed-form moments
-    evaluated on (k x grid) row blocks of at most BLOCK_ENTRIES entries.
+    evaluated on (k x grid) row blocks of at most BLOCK_ENTRIES entries, all
+    three from one set of q-integers per block.
     """
     out = np.empty((len(ks), 3))
     rows = max(1, BLOCK_ENTRIES // max(1, len(xs)))
     for r in range(0, len(ks), rows):
         kb = ks[r : r + rows, None]
         qb = qn_sequence(a, kb)
-        for i in range(3):
-            vals = np.broadcast_to(moments.finite_moment_at(kb, qb, stancu, i, xs), (len(kb), len(xs)))
+        for i, m in enumerate(moments._finite_moments(kb, qb, stancu, xs)):
+            vals = np.broadcast_to(m, (len(kb), len(xs)))
             out[r : r + rows, i] = np.max(np.abs(vals - xs**i), axis=1)
     return out
 

@@ -1,5 +1,6 @@
 """Scalar reference paths that the tests compare the batched package against."""
 
+import itertools
 import json
 import math
 import warnings
@@ -10,8 +11,9 @@ from scipy import integrate
 
 from qapprox import __version__
 from qapprox.basis import _euler_table, _log_c_row, basis_row
-from qapprox.durrmeyer import finite_inner, limit_inner
+from qapprox.durrmeyer import apply, finite_inner, limit_inner
 from qapprox.funcreg import builtin
+from qapprox.moments import MONOMIALS, MomentReport, finite_moment
 from qapprox.qcore import (
     DEFAULT_POLICY,
     SeriesLimitError,
@@ -129,6 +131,27 @@ def classical_coefficients(spec, f, kinks=()):
                                      epsabs=1e-16, epsrel=1e-14, limit=200)[0]
             for k in range(n + 1)
         ])
+
+
+def verify_moments(specs, xs):
+    """The moment report one monomial at a time: a closed-form call and an
+    apply call per (spec, j)."""
+    report = MomentReport()
+    xa = np.asarray(xs, dtype=float)
+    for spec in specs:
+        for j, mono in MONOMIALS.items():
+            report.blocks.append((spec, j, xs, finite_moment(spec, j, xa), apply(spec, mono, xa)))
+    return report
+
+
+def modulus_of_continuity(f, ts, grid):
+    """omega(f, t) on the grid for each t of ts: the largest
+    |f(x_{i+d}) - f(x_i)| over the steps d up to t / spacing + 1/2, one pass
+    over the values per d."""
+    vals = np.broadcast_to(np.asarray(f(grid.xs), dtype=float), grid.xs.shape)
+    steps = [0.0] + [float(np.max(np.abs(vals[d:] - vals[:-d]))) for d in range(1, len(vals))]
+    best = list(itertools.accumulate(steps, max))
+    return [best[int(math.floor(t / grid.spacing + 0.5 + 1e-12))] for t in ts]
 
 
 def registry_samples():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from oracles import registry_samples
 from qapprox.analysis import (
     DEFAULT_GRID,
@@ -46,6 +47,22 @@ def test_modulus_nondecreasing():
         w = modulus_of_continuity(f, t)
         assert w >= prev - 1e-14
         prev = w
+
+
+@pytest.mark.parametrize("points", [2, 3, 101, 1001])
+def test_modulus_is_the_per_step_maximum_bitwise(points):
+    grid = GridSpec(points)
+    ts = np.concatenate(([0.0, 1.0, 0.5 * grid.spacing, grid.spacing, 0.3, 0.3],
+                         0.99 ** np.arange(5, 41), np.linspace(0.0, 1.0, 37)))
+    fs = registry_samples() + [builtin("sin:40"), lambda x: np.cos(7.0 * x) * x]
+    for f in fs:
+        want = oracles.modulus_of_continuity(f, ts, grid)
+        assert modulus_of_continuity(f, ts, grid).tolist() == want
+        assert [modulus_of_continuity(f, t, grid) for t in ts[::7]] == want[::7]
+        assert modulus_of_continuity(f, ts[:78].reshape(2, 39), grid).ravel().tolist() == want[:78]
+    for bad in (-0.1, 1.5, math.nan, [0.5, math.nan]):
+        with pytest.raises(ValueError):
+            modulus_of_continuity(fs[0], bad, grid)
 
 
 @pytest.mark.parametrize("lam", [0.5, 2.0, 7.0])

@@ -229,6 +229,38 @@ def test_ineq_rejects_a_degree_below_one(runner, n):
     assert "n must be a positive integer" in result.output
 
 
+THRESHOLD_COMMANDS = {
+    "moments-verify": ["moments-verify"],
+    "ineq": ["ineq", "--n", "8", "--q", "0.5", "--grid", "11"],
+}
+
+
+@pytest.mark.parametrize("command", THRESHOLD_COMMANDS)
+@pytest.mark.parametrize("tol", ["nan", "-1e-12", "-inf"])
+def test_a_nan_or_negative_tolerance_is_a_usage_error(runner, command, tol):
+    result = runner.invoke(main, THRESHOLD_COMMANDS[command] + ["--tol", tol])
+    assert result.exit_code == 2
+    assert "Invalid value for '--tol'" in result.output
+
+
+@pytest.mark.parametrize("command", THRESHOLD_COMMANDS)
+def test_a_nan_deviation_fails_the_threshold_check(runner, monkeypatch, tmp_path, command):
+    # a check of value > tol passes a NaN; the commands check not (value <= tol)
+    if command == "ineq":
+        from qapprox import analysis
+
+        monkeypatch.setattr(analysis, "basis_inequality_check", lambda *args: math.nan)
+    else:
+        report = moments.verify_moments([OperatorSpec(2, 0.5)], [0.5])
+        report.blocks[0][4][0] = math.nan  # the series value of t^0 at x = 0.5
+        monkeypatch.setattr(moments, "verify_moments", lambda: report)
+    out = tmp_path / "report.csv"
+    result = runner.invoke(main, THRESHOLD_COMMANDS[command] + ["--tol", "inf", "--out", str(out)])
+    assert result.exit_code == 1
+    assert "nan exceeds tol inf" in result.stderr
+    assert "nan" in out.read_text()
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -31,6 +31,8 @@ from qapprox.durrmeyer import (
     finite_inner,
     limit_coefficients,
     limit_inner,
+    _finite_columns,
+    _limit_columns,
     _limit_plan,
     _limit_slot,
     _RULE_T,
@@ -38,7 +40,7 @@ from qapprox.durrmeyer import (
     _series_cap,
 )
 from qapprox.funcreg import from_expression, resolve
-from qapprox.moments import finite_moment, limit_moment
+from qapprox.moments import MONOMIALS, finite_moment, limit_moment
 from qapprox.qcore import (
     DEFAULT_POLICY,
     NumericError,
@@ -681,3 +683,30 @@ def test_limit_operator_properties(q, x, shifts, c):
     for j in (1, 2):
         assert values[j] == pytest.approx(limit_moment(q, stancu, j, x), rel=0.0, abs=1e-13)
     assert values[3] >= 0.0
+
+
+COLUMN_XS = {
+    "empty": [],
+    "zeros": [0.0, 0.0],
+    "ones": [1.0, 1.0, 1.0],
+    "duplicates": [0.7, 0.0, 0.3, 0.7, 1.0, 0.3, 1.0 - 1e-12, 0.999, 1.0 - 1e-12],
+    "grid": np.linspace(0.0, 1.0, 201),
+}
+
+
+COLUMN_NQ = [(n, q) for n in (7, 300, INFINITE) for q in (0.5, 0.9, 0.99, 0.999, 1.0)
+             if n is not INFINITE or q < 1.0]
+
+
+@pytest.mark.parametrize("xs", COLUMN_XS.values(), ids=COLUMN_XS)
+@pytest.mark.parametrize("stancu", [StancuParams(), StancuParams(1.0, 2.0)], ids=str)
+@pytest.mark.parametrize("n, q", COLUMN_NQ, ids=[f"n={n or 'inf'}-q={q}" for n, q in COLUMN_NQ])
+def test_columns_are_the_one_f_values_bitwise(n, q, stancu, xs):
+    # one pass for several f gives each f's row the bits of apply(spec, f, xs)
+    spec = OperatorSpec(n, q, stancu)
+    fs = list(MONOMIALS.values()) + [resolve("sin:3"), resolve("absdev:0.5")]
+    xa = np.array(xs, dtype=float)
+    got = (_limit_columns if spec.is_limit else _finite_columns)(spec, fs, xa)
+    assert got.shape == (len(fs), len(xa))
+    for row, f in zip(got, fs):
+        assert row.tobytes() == apply(spec, f, xa).tobytes()

@@ -1,13 +1,18 @@
 import io
 
 import numpy as np
+import oracles
 import pytest
 
+from qapprox import basis, durrmeyer
 from qapprox.basis import INFINITE
 from qapprox.durrmeyer import OperatorSpec, StancuParams, apply
 from qapprox.moments import (
     MONOMIALS,
+    _finite_moments,
+    _limit_moments,
     central_moments,
+    default_grid,
     finite_moment,
     finite_moment_at,
     limit_moment,
@@ -168,3 +173,74 @@ def test_report_serialization():
 def test_verify_handles_limit_specs_and_x1():
     report = verify_moments([OperatorSpec(INFINITE, 0.5)], [0.0, 0.5, 1.0])
     assert report.max_abs_dev <= 1e-9
+
+
+def test_finite_moments_are_the_per_j_values_bitwise():
+    st = StancuParams(1.0, 2.0)
+    xs = np.array(XS)
+    ns = np.array([[1], [5], [40], [300]])
+    qs = np.array([[0.5], [0.9], [0.99], [0.999]])
+    cases = [(3, 1.0, 0.3), (7, 0.8, 0.0), (7, 0.8, xs), (ns, qs, xs), (ns, 0.9, 0.25)]
+    for n, q, x in cases:
+        got = _finite_moments(n, q, st, x)
+        for j in range(3):
+            assert np.asarray(got[j]).tobytes() == np.asarray(finite_moment_at(n, q, st, j, x)).tobytes()
+    for q in (0.5, 0.9, 0.999):
+        for x in (0.3, xs):
+            got = _limit_moments(q, st, x)
+            for j in range(3):
+                assert np.asarray(got[j]).tobytes() == np.asarray(limit_moment(q, st, j, x)).tobytes()
+    for j in (-1, 3, 0.5):
+        with pytest.raises(ValueError):
+            finite_moment_at(3, 0.5, st, j, 0.3)
+
+
+def verify_stats_pool():
+    """The specs of the benchmark's verify-stats workload."""
+    specs = [OperatorSpec(n, q, StancuParams(vp, vt)) for q in (0.5, 0.8, 0.95, 1.0)
+             for n in (1, 2, 5, 10, 25, 50) for vp, vt in ((0.0, 0.0), (0.5, 1.0), (1.0, 2.0))]
+    return specs + [OperatorSpec(INFINITE, q, StancuParams(vp, vt)) for q in (0.5, 0.9, 0.99)
+                    for vp, vt in ((0.5, 1.0), (1.0, 2.0))]
+
+
+def csv_text(report):
+    text = io.StringIO()
+    report.to_csv(text, meta={"command": "moments-verify"})
+    return text.getvalue()
+
+
+@pytest.mark.parametrize(
+    "specs, xs",
+    [default_grid(),
+     (verify_stats_pool(), [0.0, 0.0123, 0.5, 0.5, 0.97, 0.99, 1.0 - 1e-5, 1.0 - 1e-9, 1.0])],
+    ids=["default", "verify-stats-near-1"],
+)
+def test_verify_moments_report_is_the_per_monomial_report(specs, xs):
+    assert csv_text(verify_moments(specs, xs)) == csv_text(oracles.verify_moments(specs, xs))
+
+
+def counting(monkeypatch, module, name):
+    """Wrap module.name so that each call is counted; returns the count list."""
+    calls = []
+    inner = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_verify_moments_takes_one_pass_per_spec(monkeypatch):
+    finite = [OperatorSpec(5, 0.8), OperatorSpec(300, 0.99, StancuParams(1.0, 2.0)), OperatorSpec(4, 1.0)]
+    limit = [OperatorSpec(INFINITE, 0.5), OperatorSpec(INFINITE, 0.9, StancuParams(1.0, 2.0))]
+    xs = list(np.linspace(0.0, 1.0, 120))
+    verify_moments(finite + limit, xs)  # coefficients warm, so only the series passes count
+    bases = counting(monkeypatch, basis, "basis_matrix")
+    pochhammers = counting(monkeypatch, durrmeyer, "log_q_pochhammer_inf")
+    verify_moments(finite + limit, xs)
+    blocks = sum(-(-len(xs) // max(1, durrmeyer.GRID_ENTRIES // (s.n + 1))) for s in finite)
+    assert blocks == 5  # n = 300 takes three blocks of rows
+    assert len(bases) == blocks
+    assert len(pochhammers) == len(limit)

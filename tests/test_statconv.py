@@ -6,9 +6,11 @@ import oracles
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qapprox import moments
 from qapprox.durrmeyer import StancuParams
 from qapprox.statconv import (
     CLASSICAL_PAIR,
+    _monomial_errors,
     ONES,
     AlphaBetaPair,
     DensityQuery,
@@ -276,3 +278,15 @@ def test_sequences_are_called_once_per_block():
     ns = [BLOCK_ENTRIES // 2, n]  # nested windows: one pass over [1, n]
     weighted_trajectory(lambda k: members(k) * 1.0, 0.0, 0.5, DensityQuery(), ONES, ns)
     assert len(sizes) <= math.ceil(n / BLOCK_ENTRIES) and sum(sizes) == n
+
+
+def test_monomial_errors_take_one_set_of_q_integers_per_row_block(monkeypatch):
+    xs = np.linspace(0.0, 1.0, 101)
+    ks = np.arange(1, 6001, dtype=np.int64)
+    blocks = -(-len(ks) // (BLOCK_ENTRIES // len(xs)))
+    assert blocks == 3
+    calls = []
+    inner = moments.q_integer
+    monkeypatch.setattr(moments, "q_integer", lambda n, q: calls.append(n) or inner(n, q))
+    _monomial_errors(0.5, StancuParams(1.0, 2.0), ks, xs)
+    assert len(calls) == 4 * blocks  # [n], [n+2], [n+3] and [3], not once per monomial
