@@ -89,6 +89,10 @@ def _common(fn):
     return fn
 
 
+_f_option = click.option("--f", "fsrc", required=True, help="expression in t, or a registry "
+                         "alias of one: id, square, expdec, const:c, absdev:c, sin:a")
+
+
 def _series(fn):
     """Truncation options of the commands that evaluate series."""
     fn = click.option("--rel-eps", default=DEFAULT_POLICY.rel_eps, show_default=True)(fn)
@@ -124,7 +128,7 @@ def _run(compute):
 @click.option("--q", type=float, required=True)
 @click.option("--varpi", default=0.0, show_default=True)
 @click.option("--vartheta", default=0.0, show_default=True)
-@click.option("--f", "fsrc", required=True, help="builtin name or expression in t")
+@_f_option
 @click.option("--grid", "grid_points", type=int, default=1001, show_default=True)
 @_common
 @_series
@@ -170,7 +174,7 @@ def cmd_moments_verify(tol, out, fmt):
 
 
 @main.command("rate")
-@click.option("--f", "fsrc", required=True)
+@_f_option
 @click.option("--q", type=float, required=True)
 @click.option("--varpi", default=0.0, show_default=True)
 @click.option("--vartheta", default=0.0, show_default=True)
@@ -201,7 +205,7 @@ def cmd_rate(fsrc, q, varpi, vartheta, n_list, grid_points, out, fmt, rel_eps, m
 
 
 @main.command("q1")
-@click.option("--f", "fsrc", required=True)
+@_f_option
 @click.option("--q-list", default="0.9,0.99,0.999", show_default=True)
 @click.option("--varpi", default=0.0, show_default=True)
 @click.option("--vartheta", default=0.0, show_default=True)
@@ -227,7 +231,7 @@ def cmd_q1(fsrc, q_list, varpi, vartheta, grid_points, out, fmt, rel_eps, max_te
 
 
 @main.command("fixed")
-@click.option("--f", "fsrc", required=True)
+@_f_option
 @click.option("--q", type=float, required=True)
 @click.option("--varpi", default=0.0, show_default=True)
 @click.option("--vartheta", default=0.0, show_default=True)

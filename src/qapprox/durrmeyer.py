@@ -43,9 +43,9 @@ one rank-3 matrix product.
 On the limit side the node count, the windows and the row blocks depend on
 q and the TruncationPolicy only, not on f or the shifts.  They form the
 plan of (q, policy) (_limit_plan, a bounded LRU), which every f shares.
-It is built once up to K_cap (below), and limit_coefficients takes k_max
-up to K_cap only.  The finite side finds its windows per call, as each n
-has its own.
+It is built once up to K_cap (below), and limit_coefficients memoises the
+whole array A_0..A_{K_cap} of each (spec, f).  The finite side finds its
+windows per call, as each n has its own.
 
 The limit series is summed by one kernel, _limit_sums, which takes several
 column sets and builds each block of weights p_{inf,k}(q;x) once for all of
@@ -229,7 +229,8 @@ def _jackson_coefficients(spec, f):
         np.multiply(rates[ks, None], np.arange(a, b), out=w)
         w += d
         w -= top[ks, None]
-        sums[ks] = _jackson_block(w, f_one[a:b])
+        np.exp(w, out=w)
+        sums[ks] = w @ f_one[a:b]  # the column 1 gives the normaliser, as A_nk(1) = 1
     return sums[:, 0] / sums[:, 1]
 
 
@@ -346,12 +347,6 @@ def _finite_columns(spec, fs, x):
 
 
 @lru_cache(maxsize=64)
-def _limit_slot(spec, f):
-    """One-element holder of the longest A_k(f) array computed for (spec, f)."""
-    return [np.empty(0)]
-
-
-@lru_cache(maxsize=64)
 def _limit_plan(qv, policy):
     """(J, blocks) of (q, policy): the node count, and _blocks over the node
     windows of every k = 0..K_cap.  Neither depends on f or the shifts."""
@@ -366,7 +361,7 @@ def _limit_plan(qv, policy):
     peak = np.searchsorted(np.log1p(-(qv ** np.arange(J))[1:]), rates)
     cut = math.log(policy.rel_eps / J) - neg_log_c
     lo, hi = _node_windows(lambda j: j * rates + g[j], peak, cut, J)
-    return J, list(_blocks(lo, hi))
+    return J, tuple(_blocks(lo, hi))
 
 
 def _limit_factors(qv, K, J):
@@ -381,37 +376,28 @@ def _limit_factors(qv, K, J):
     return left, right
 
 
-def limit_coefficients(spec, f, k_max):
-    """A_k(f) for k = 0..k_max, read-only; k_max is at most K_cap
-    (_series_cap), past which the series needs no A_k.
+@lru_cache(maxsize=32)
+def limit_coefficients(spec, f):
+    """A_k(f) for k = 0..K_cap (_series_cap), past which the series needs no
+    A_k, as a read-only array (cached per (spec, f)).
 
     A_k = sum_j w_kj f_j / sum_j w_kj over the node window of each k (see
     the module docstring), with log w_kj = j rate_k + g_j - log c_k built
     per block as [rate_k, 1, -log c_k] . [j, g_j, 1].  The node count and
-    the row blocks come from the plan of (q, policy) (_limit_plan).  The
-    blocks up to the one that holds k_max are computed whole, and the
-    longest array is kept per (spec, f), so each A_k is the same whichever
-    k_max, f or shift pair came first.
+    the row blocks come from the plan of (q, policy) (_limit_plan).
     """
     if not spec.is_limit:
         raise ValueError("limit_coefficients requires the limit operator")
     qv, policy = as_q(spec.q), spec.policy
-    if k_max > _series_cap(qv, policy):
-        raise ValueError("limit_coefficients takes k_max up to K_cap only")
-    slot = _limit_slot(spec, f)
-    if len(slot[0]) > k_max:
-        return slot[0][: k_max + 1]
     J, blocks = _limit_plan(qv, policy)
-    blocks = [block for block in blocks if block[0].start <= k_max]
-    left, right = _limit_factors(qv, blocks[-1][0].stop - 1, J)
+    left, right = _limit_factors(qv, _series_cap(qv, policy), J)
     # columns f and 1: one product gives each A_k and its weight sum
     f_one = np.ones((J, 2))
     f_one[:, 0] = _finite_values(f, limit_inner(qv, spec.stancu, qv ** np.arange(J)))
     (sums,) = _block_sums(left, right, [f_one], blocks)
     out = sums[:, 0] / sums[:, 1]
     out.flags.writeable = False
-    slot[0] = out
-    return out[: k_max + 1]
+    return out
 
 
 def _node_windows(log_w, peak, cut, J):
@@ -484,16 +470,6 @@ def _block_sums(left, right, col_sets, blocks):
         for out, cols in zip(outs, col_sets):
             out[ks] = w @ cols[a:b]
     return outs
-
-
-def _jackson_block(w, f_one):
-    """Per row k of a block of the finite coefficients' log weights w,
-    (sum_j w_kj f_one[j, 0], sum_j w_kj f_one[j, 1]): w is exponentiated in
-    place and contracted with the two columns (f, 1) of f_one in one product.
-    The second sum is the normaliser, as A_nk(1) = 1.
-    """
-    np.exp(w, out=w)
-    return w @ f_one
 
 
 def _series_cap(qv, policy):
@@ -577,7 +553,7 @@ def _limit_columns(spec, fs, x):
     # Column-major (A_k, 1): OpenBLAS sums that product to 5e-15 of per-x
     # dot products on grid 1001, the row-major one to 3e-14.
     def columns(k):
-        return [np.array((limit_coefficients(spec, f, k), np.ones(k + 1))).T for f in fs]
+        return [np.array((limit_coefficients(spec, f)[: k + 1], np.ones(k + 1))).T for f in fs]
 
     sums, a_ones = _limit_sums(
         qv, spec.policy, xs[order], columns, [(f_end, 1.0) for f_end in f_ends]

@@ -10,19 +10,22 @@ right-associatively):
     atom    := NUMBER | 't' | NAME '(' expr ')' | '(' expr ')'
 
 NAME is one of abs, exp, sin, cos, sqrt.  Numbers are decimal literals;
-scientific notation is accepted.  An expression compiles once to a numpy
-function of t that evaluates a whole array of t in one call.  Expressions
-are only evaluated on [0, 1]; division by zero, a negative sqrt argument or
-an undefined power is a runtime evaluation error reporting the offending t,
-while overflow yields inf.
+scientific notation is accepted.  Nesting is capped at MAX_NESTING levels.
+An expression compiles once to a numpy function of t that evaluates a whole
+array of t in one call.  Expressions are only evaluated on [0, 1]; division
+by zero, a negative sqrt argument or an undefined power is a runtime
+evaluation error reporting the offending t, while overflow yields inf.
 
 Every test function f takes an ndarray t and returns an array of its shape
-or a scalar, which callers broadcast (``lambda t: 1.0`` is a valid f).
+or a scalar, which callers broadcast (``lambda t: 1.0`` is a valid f).  The
+registry names (builtin) are aliases of expressions, and every RealFunction
+is compared by its rendered source, so the coefficient caches key each f by
+its value, not by its identity.
 """
 
 import re
-from dataclasses import dataclass
-from typing import Optional
+from contextlib import contextmanager
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -153,7 +156,8 @@ def evaluate(node, t):
 
 
 def to_source(node):
-    """Render an AST back to source; parse(to_source(e)) == e structurally."""
+    """Render an AST back to source; parse(to_source(e)) == e structurally
+    while e is at most MAX_NESTING // 2 levels deep."""
     if isinstance(node, Num):
         return format(node.value, ".17g")
     if isinstance(node, Var):
@@ -168,6 +172,16 @@ def to_source(node):
 
 
 # --- tokenizer / parser ----------------------------------------------------
+
+# Nesting levels an expression may have: a parenthesis, a function call, a
+# unary minus, a '^' and each operator of a chain such as t+t+t is one level
+# above its operands.  A level costs the recursive parser at most five frames
+# (expr at both of its ranks, unary, power, atom) and _closure, the compiled
+# function and to_source one frame each, so parsing stays within about 500
+# frames and the others within about 100 of Python's default recursion limit
+# of 1000, which leaves the caller the rest.  Deeper input is a ParseError,
+# not a RecursionError.
+MAX_NESTING = 100
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
@@ -187,22 +201,21 @@ def _tokenize(source):
                 break
             bad = len(source) - len(stripped)
             raise ParseError(f"unexpected character {source[bad]!r}", bad)
-        if m.lastgroup == "number":
-            tokens.append(("number", m.group("number"), m.start("number")))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append((m.group("op"), m.group("op"), m.start("op")))
+        group = m.lastgroup  # an operator is its own kind
+        tokens.append((m.group(group) if group == "op" else group, m.group(group), m.start(group)))
         pos = m.end()
     tokens.append(("end", "", len(source)))
     return tokens
 
 
 class _Parser:
+    """Recursive descent.  Each rule returns (node, levels), the nesting levels
+    of what it parsed; self.depth counts the levels open at the current token."""
+
     def __init__(self, source):
-        self.source = source
         self.tokens = _tokenize(source)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -214,70 +227,77 @@ class _Parser:
         self.i += 1
         return tok
 
+    def level(self, levels, tok):
+        """levels, or a ParseError at tok if that is past MAX_NESTING."""
+        if levels > MAX_NESTING:
+            raise ParseError(f"expression nested more than {MAX_NESTING} levels deep", tok[2])
+        return levels
+
+    @contextmanager
+    def below(self, tok):
+        """One level down from tok; the body runs in the caller's frame."""
+        self.depth = self.level(self.depth + 1, tok)
+        yield
+        self.depth -= 1
+
     def parse(self):
-        node = self.expr()
+        node, _ = self.expr()
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"trailing input {tok[1]!r}", tok[2], expected={"end"})
         return node
 
-    def expr(self):
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.take(self.peek()[0])[0]
-            node = Bin(op, node, self.term())
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek()[0] in ("*", "/"):
-            op = self.take(self.peek()[0])[0]
-            node = Bin(op, node, self.unary())
-        return node
+    def expr(self, ops="+-"):
+        """ops '+-': a chain of terms; ops '*/': a term, a chain of unaries."""
+        node, levels = self.expr("*/") if ops == "+-" else self.unary()
+        while self.peek()[0] in ops:
+            tok = self.take(self.peek()[0])
+            right, up = self.expr("*/") if ops == "+-" else self.unary()
+            node, levels = Bin(tok[0], node, right), self.level(max(levels, up) + 1, tok)
+        return node, levels
 
     def unary(self):
-        if self.peek()[0] == "-":
-            self.take("-")
-            return Neg(self.unary())
-        return self.power()
+        tok = self.peek()
+        if tok[0] != "-":
+            return self.power()
+        self.take("-")
+        with self.below(tok):
+            node, levels = self.unary()
+        return Neg(node), self.level(levels + 1, tok)
 
     def power(self):
-        node = self.atom()
-        if self.peek()[0] == "^":
-            self.take("^")
-            # right-associative; the exponent may carry its own unary minus
-            return Bin("^", node, self.unary())
-        return node
+        node, levels = self.atom()
+        tok = self.peek()
+        if tok[0] != "^":
+            return node, levels
+        self.take("^")
+        # right-associative; the exponent may carry its own unary minus
+        with self.below(tok):
+            exponent, up = self.unary()
+        return Bin("^", node, exponent), self.level(max(levels, up) + 1, tok)
 
     def atom(self):
         tok = self.peek()
         if tok[0] == "number":
             self.take("number")
-            return Num(float(tok[1]))
+            return Num(float(tok[1])), 0
+        name = None
         if tok[0] == "name":
             self.take("name")
             if tok[1] == "t":
-                return Var()
-            if tok[1] in _FUNCTIONS:
-                self.take("(")
-                arg = self.expr()
-                self.take(")")
-                return Call(tok[1], arg)
-            raise ParseError(
-                f"unknown identifier {tok[1]!r}",
-                tok[2],
-                expected={"t"} | set(_FUNCTIONS),
-            )
-        if tok[0] == "(":
-            self.take("(")
-            node = self.expr()
-            self.take(")")
-            return node
-        raise ParseError(
-            f"unexpected {tok[1]!r}" if tok[0] != "end" else "unexpected end of input",
-            tok[2],
-            expected={"number", "t", "("},
-        )
+                return Var(), 0
+            if tok[1] not in _FUNCTIONS:
+                raise ParseError(f"unknown identifier {tok[1]!r}", tok[2],
+                                 expected={"t"} | set(_FUNCTIONS))
+            name = tok[1]
+        elif tok[0] != "(":
+            raise ParseError(f"unexpected {tok[1]!r}" if tok[0] != "end" else "unexpected end of input",
+                             tok[2], expected={"number", "t", "("})
+        opening = self.take("(")
+        with self.below(opening):
+            node, levels = self.expr()
+        self.take(")")
+        return (node if name is None else Call(name, node)), self.level(levels + 1, opening)
 
 
 def parse(source):
@@ -290,53 +310,51 @@ def parse(source):
 
 @dataclass(frozen=True)
 class RealFunction:
-    """A named real-valued function on [0,1] with optional Lipschitz metadata."""
+    """A real function on [0,1] compiled from an AST.  source = to_source(node)
+    is the one compared and hashed field, so equal sources are one cache key."""
 
-    name: str
-    fn: object
-    lipschitz: Optional[float] = None
+    node: InitVar[object]
+    source: str = field(init=False)
+    fn: object = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self, node):
+        object.__setattr__(self, "source", to_source(node))
+        object.__setattr__(self, "fn", _compile(node))
 
     def __call__(self, t):
         return self.fn(t)
 
 
-def _builtin_table():
-    return {
-        "id": lambda: RealFunction("id", lambda t: t, lipschitz=1.0),
-        "square": lambda: RealFunction("square", lambda t: t * t, lipschitz=2.0),
-        "expdec": lambda: RealFunction("expdec", lambda t: np.exp(-t), lipschitz=1.0),
-    }
+# The registry's aliases, each the expression of the same numpy operations
+_ALIASES = {"id": Var(), "square": Bin("*", Var(), Var()), "expdec": Call("exp", Neg(Var()))}
+_PARAMETRIC = {"const": lambda c: c, "absdev": lambda c: Call("abs", Bin("-", Var(), c)),
+               "sin": lambda c: Call("sin", Bin("*", c, Var()))}
 
 
 def builtin(name):
-    """Look up a registry function; const:c, absdev:c and sin:a take a parameter."""
-    table = _builtin_table()
-    if name in table:
-        return table[name]()
-    if ":" in name:
-        head, _, arg = name.partition(":")
+    """Look up a registry alias: id (t), square (t*t), expdec (exp(-t)), and
+    const:c (c), absdev:c (abs(t-c)) and sin:a (sin(a*t)) with a parameter.
+    An alias shares its expression's cache key."""
+    if name in _ALIASES:
+        return RealFunction(_ALIASES[name])
+    head, _, arg = name.partition(":")
+    if head in _PARAMETRIC:
         try:
-            c = float(arg)
+            c = Num(float(arg))  # not re-parsed, so const:inf stays a numeric failure
         except ValueError:
             raise KeyError(f"bad parameter in builtin name {name!r}") from None
-        if head == "const":
-            return RealFunction(name, lambda t, c=c: c, lipschitz=0.0)
-        if head == "absdev":
-            return RealFunction(name, lambda t, c=c: abs(t - c), lipschitz=1.0)
-        if head == "sin":
-            return RealFunction(name, lambda t, c=c: np.sin(c * t), lipschitz=abs(c))
+        return RealFunction(_PARAMETRIC[head](c))
     raise KeyError(f"unknown builtin function {name!r}")
 
 
 def from_expression(source):
     """Compile an expression into a RealFunction."""
-    return RealFunction(source, _compile(parse(source)))
+    return RealFunction(parse(source))
 
 
 def resolve(text):
-    """Resolve a CLI --f argument: registry name first, expression otherwise."""
+    """Resolve a CLI --f argument: registry alias first, expression otherwise."""
     try:
         return builtin(text)
     except KeyError:
         return from_expression(text)
-

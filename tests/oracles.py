@@ -160,6 +160,18 @@ def registry_samples():
     return [builtin(name) for name in names]
 
 
+def builtin_lambda(name):
+    """The registry alias name as the hand-written numpy function that the
+    registry held before its aliases became expressions."""
+    table = {"id": lambda t: t, "square": lambda t: t * t, "expdec": lambda t: np.exp(-t)}
+    if name in table:
+        return table[name]
+    head, _, arg = name.partition(":")
+    c = float(arg)
+    return {"const": lambda t: c, "absdev": lambda t: abs(t - c),
+            "sin": lambda t: np.sin(c * t)}[head]
+
+
 def _at(seq, k):
     """An index sequence at the single index k, through its array contract."""
     return np.broadcast_to(seq(np.array([k], dtype=np.int64)), (1,))[0]

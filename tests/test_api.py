@@ -24,7 +24,7 @@ EXPORTS = {
 REMOVED = {
     "q_pochhammer", "BasisPoint", "bernstein_basis", "coefficient_finite",
     "coefficient_limit", "registry_samples", "_values", "log_limit_row", "_limit_point",
-    "_LimitPlan", "_product",
+    "_LimitPlan", "_product", "_limit_slot", "_builtin_table", "_jackson_block",
 }
 
 

@@ -334,6 +334,26 @@ def test_expression_f_argument(runner):
     assert float(rows[1][1]) == pytest.approx(2.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("f", ["t" + "+t" * 1500, "(" * 1200 + "t" + ")" * 1200,
+                               "abs(" * 1200 + "t" + ")" * 1200, "-" * 1200 + "t"])
+def test_deeply_nested_f_is_a_config_error(runner, f):
+    result = runner.invoke(main, ["eval", "--limit", "--q", "0.9", "--f", f, "--grid", "3"])
+    assert result.exit_code == 2
+    assert "nested more than" in result.output
+
+
+@pytest.mark.parametrize("command", ["eval", "rate", "q1", "fixed"])
+def test_every_f_option_names_the_aliases(runner, command):
+    result = runner.invoke(main, [command, "--help"])
+    assert result.exit_code == 0
+    assert "absdev:c" in result.output and "expression in t" in result.output
+
+
+def test_an_infinite_constant_is_a_numeric_error(runner):
+    result = runner.invoke(main, ["eval", "--limit", "--q", "0.9", "--f", "const:inf", "--grid", "3"])
+    assert result.exit_code == 3
+
+
 @pytest.mark.parametrize("q, f", [("0.8", "sin(3*t)"), ("1", "abs(t-0.37)")])
 def test_output_file_and_repeatability(runner, tmp_path, q, f):
     args = [

@@ -18,6 +18,7 @@ from qapprox import limit_basis_identity_sums
 from qapprox.analysis import GridSpec
 from qapprox.basis import (
     INFINITE,
+    _euler_table,
     basis_row,
     limit_basis,
 )
@@ -34,7 +35,6 @@ from qapprox.durrmeyer import (
     _finite_columns,
     _limit_columns,
     _limit_plan,
-    _limit_slot,
     _RULE_T,
     _RULE_W,
     _series_cap,
@@ -47,6 +47,7 @@ from qapprox.qcore import (
     QApproxError,
     SeriesLimitError,
     TruncationPolicy,
+    q_binomial_row,
     q_integer,
 )
 
@@ -122,7 +123,7 @@ def test_limit_coefficient_against_jackson_partial_sum():
         t = q**j
         acc += q**j * t * limit_basis(k, q, q * t)
     expect = q ** (-k) / (1.0 - q) * (1.0 - q) * acc
-    assert limit_coefficients(spec, lambda t: t, k)[k] == pytest.approx(expect, rel=1e-11)
+    assert limit_coefficients(spec, lambda t: t)[k] == pytest.approx(expect, rel=1e-11)
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=str)
@@ -244,15 +245,16 @@ def test_batched_apply_matches_scalar_references(q, stancu):
 def _limit_coefficients_to(spec, f, k_max):
     # A_k for k <= K_cap from limit_coefficients, the rest from the dense oracle
     cap = _series_cap(spec.q, spec.policy)
-    head = limit_coefficients(spec, f, min(k_max, cap))
+    head = limit_coefficients(spec, f)[: k_max + 1]
     return np.concatenate((head, limit_jackson_coefficients(spec, f, range(cap + 1, k_max + 1))))
 
 
 def test_limit_coefficient_cache_is_bounded():
     spec = OperatorSpec(INFINITE, 0.5)
-    for _ in range(600):
-        apply_limit(spec, resolve("t^2"), 0.5)  # a fresh f, so a fresh cache key
-    assert _limit_slot.cache_info().currsize <= 64
+    for i in range(600):
+        apply_limit(spec, resolve(f"t^2+{i}"), 0.5)  # a fresh source, so a fresh cache key
+    info = limit_coefficients.cache_info()
+    assert info.maxsize == 32 and info.currsize <= 32
 
 
 PLAN_QS = [0.5, 0.9, 0.99, 0.999]
@@ -260,30 +262,22 @@ PLAN_QS = [0.5, 0.9, 0.99, 0.999]
 
 def _clear_limit_caches():
     _limit_plan.cache_clear()
-    _limit_slot.cache_clear()
+    limit_coefficients.cache_clear()
 
 
 @pytest.mark.parametrize("q", PLAN_QS)
-@pytest.mark.parametrize("cut", ["early", "late"])
-def test_limit_plan_gives_the_cold_coefficients(q, cut):
-    # the plan of (q, policy) is first used by another f and shift pair, with
-    # a larger and a smaller k_max; and the same f asked for a larger k_max
-    # first gives the same A_k
+def test_limit_plan_gives_the_cold_coefficients(q):
+    # the plan of (q, policy), first used by another f and shift pair, gives
+    # the same A_k as a cold plan, for every k up to K_cap
     spec = OperatorSpec(INFINITE, q, StancuParams(1.0, 2.0))
     f = from_expression("sin(3*t)+abs(t-0.37)")
     other = OperatorSpec(INFINITE, q), from_expression("exp(-2*t)*t^2")
-    cap = _series_cap(q, DEFAULT_POLICY)
-    k_max = 13 if cut == "early" else cap // 4
     _clear_limit_caches()
-    cold = limit_coefficients(spec, f, k_max).copy()
-    for warm_k in (min(2 * k_max, cap), k_max // 2):
-        _clear_limit_caches()
-        limit_coefficients(*other, warm_k)
-        assert np.array_equal(limit_coefficients(spec, f, k_max), cold)
-        _limit_slot.cache_clear()
-        assert np.array_equal(limit_coefficients(spec, f, cap)[: k_max + 1], cold)
-    with pytest.raises(ValueError):
-        limit_coefficients(spec, f, cap + 1)
+    cold = limit_coefficients(spec, f).copy()
+    assert len(cold) == _series_cap(q, DEFAULT_POLICY) + 1
+    _clear_limit_caches()
+    limit_coefficients(*other)
+    assert np.array_equal(limit_coefficients(spec, f), cold)
 
 
 @pytest.mark.parametrize("q", PLAN_QS)
@@ -293,11 +287,11 @@ def test_apply_limit_is_the_same_with_a_warm_plan(q):
     xs = GridSpec(201).xs
     _clear_limit_caches()
     cold = apply_limit(spec, f, xs)
-    _limit_slot.cache_clear()
+    limit_coefficients.cache_clear()
     apply_limit(OperatorSpec(INFINITE, q), from_expression("exp(-2*t)*t^2"), xs)
     info = _limit_plan.cache_info()
     assert (info.hits, info.misses) == (1, 1)  # the second f reads the first f's plan
-    _limit_slot.cache_clear()
+    limit_coefficients.cache_clear()
     assert np.array_equal(apply_limit(spec, f, xs), cold)
 
 
@@ -307,6 +301,28 @@ def test_limit_plan_cache_is_bounded():
         apply_limit(OperatorSpec(INFINITE, float(q)), f, 0.5)
     info = _limit_plan.cache_info()
     assert info.maxsize == 64 and info.currsize <= 64
+
+
+def test_memo_values_are_read_only():
+    f = resolve("sin(3*t)")
+    log_c, _, residual = _euler_table(0.9)
+    values = [finite_coefficients(OperatorSpec(5, 0.8), f),
+              limit_coefficients(OperatorSpec(INFINITE, 0.9), f), q_binomial_row(5, 0.8), log_c,
+              residual]
+    for value in values:
+        with pytest.raises(ValueError):
+            value[0] = 1.0
+    _, blocks = _limit_plan(0.9, DEFAULT_POLICY)
+    assert isinstance(blocks, tuple)
+
+
+def test_equal_sources_share_a_cache_key():
+    spec = OperatorSpec(7, 0.77)
+    before = finite_coefficients.cache_info()
+    finite_coefficients(spec, resolve("t^2"))
+    finite_coefficients(spec, resolve("t^2"))
+    after = finite_coefficients.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=str)
@@ -338,7 +354,7 @@ def test_limit_coefficients_match_dense_jackson_sum(q):
     spec = OperatorSpec(INFINITE, q, stancu)
     f = from_expression("sin(3*t)+t^2")
     k_max = min(len(log_limit_row(q, 0.995)) - 1, _series_cap(q, DEFAULT_POLICY))
-    got = limit_coefficients(spec, f, k_max)
+    got = limit_coefficients(spec, f)
     ks = sorted(set(np.linspace(0, k_max, 40, dtype=int)))
     assert got[ks] == pytest.approx(limit_jackson_coefficients(spec, f, ks), rel=1e-13)
 
@@ -445,7 +461,7 @@ def test_limit_series_cap(q, cap):
     spec = OperatorSpec(INFINITE, q)
     f = resolve("t^2")
     apply_limit(spec, f, 1.0 - 1e-9)
-    assert len(_limit_slot(spec, f)[0]) == cap + 1
+    assert len(limit_coefficients(spec, f)) == cap + 1
 
 
 def test_limit_series_cap_stays_inside_apply_limit():

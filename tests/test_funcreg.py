@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import registry_samples
+from oracles import builtin_lambda, registry_samples
 from qapprox.funcreg import (
+    MAX_NESTING,
     Bin,
     Call,
     EvalError,
@@ -116,11 +117,54 @@ def test_builtins():
     assert builtin("square")(0.4) == pytest.approx(0.16)
     assert builtin("expdec")(0.0) == 1.0
     assert builtin("sin:3")(0.5) == pytest.approx(math.sin(1.5))
-    assert builtin("id").lipschitz == 1.0
     with pytest.raises(KeyError):
         builtin("nope")
     with pytest.raises(KeyError):
         builtin("const:xyz")
+
+
+PARAMETERS = ("0", "-0", "0.5", "0.3", "-2.5", "3", "40", "1e-300")
+
+
+@pytest.mark.parametrize("name", ["id", "square", "expdec"]
+                         + [f"{head}:{c}" for head in ("const", "absdev", "sin") for c in PARAMETERS])
+def test_builtins_equal_their_lambdas_bitwise(name):
+    ts = np.concatenate((np.linspace(0.0, 1.0, 10001), 0.99 ** np.arange(1000), [1e-300, 5e-324]))
+    got, want = builtin(name), builtin_lambda(name)
+    for t in (ts, 0.0, 0.37, 1.0):
+        g, w = np.broadcast_arrays(got(t), want(t))
+        assert g.tobytes() == w.tobytes()
+
+
+def test_equal_sources_are_one_key():
+    assert builtin("sin:3") == resolve("sin(3*t)")
+    assert hash(builtin("sin:3")) == hash(resolve("sin(3*t)"))
+    assert resolve("t^2") == resolve("t ^ 2") != resolve("t*t") == builtin("square")
+    assert builtin("const:0") != builtin("const:-0")  # the sources 0 and -0
+
+
+NESTED = {
+    "parentheses": lambda m: "(" * m + "t" + ")" * m,
+    "calls": lambda m: "abs(" * m + "t" + ")" * m,
+    "unary minus": lambda m: "-" * m + "t",
+    "powers": lambda m: "t" + "^t" * m,
+    "sum": lambda m: "t" + "+t" * m,
+    "product": lambda m: "t" + "*t" * m,
+}
+
+
+@pytest.mark.parametrize("form", NESTED)
+def test_nesting_cap(form):
+    # at the cap, parse, to_source, compile and evaluation run; one level
+    # more is a ParseError at the token that opens it, the last one
+    f = from_expression(NESTED[form](MAX_NESTING))
+    assert np.all(np.isfinite(f(np.array([0.0, 0.5, 1.0]))))
+    source = NESTED[form](MAX_NESTING + 1)
+    with pytest.raises(ParseError, match="nested") as err:
+        parse(source)
+    assert err.value.position == max(source.rfind(c) for c in "(-^+*")
+    with pytest.raises(ParseError):
+        parse(NESTED[form](1500))
 
 
 def test_registry_samples_total_on_unit_interval():
@@ -132,7 +176,7 @@ def test_registry_samples_total_on_unit_interval():
 def test_from_expression_and_resolve():
     f = from_expression("t^2+1")
     assert f(0.5) == pytest.approx(1.25)
-    assert f.name == "t^2+1"
+    assert f.source == "((t^2)+1)"
     assert resolve("id")(0.4) == 0.4  # registry wins
     assert resolve("t*3")(0.4) == pytest.approx(1.2)  # expression fallback
 
