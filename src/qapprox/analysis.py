@@ -96,8 +96,8 @@ def rate_experiment(f, q, stancu, n_list, grid=DEFAULT_GRID, policy=DEFAULT_POLI
     if qv == 1.0:
         raise ValueError("the rate experiment requires q < 1")
     n_list = list(n_list)
-    if sorted(n_list) != n_list:
-        raise ValueError("n_list must be increasing")
+    if any(lo >= hi for lo, hi in zip(n_list, n_list[1:])):
+        raise ValueError("n_list must be strictly increasing")
     xs = grid.xs
     limit_spec = OperatorSpec(INFINITE, qv, stancu, policy)
     limit_vals = durrmeyer.apply_limit(limit_spec, f, xs)
@@ -115,8 +115,8 @@ def rate_experiment(f, q, stancu, n_list, grid=DEFAULT_GRID, policy=DEFAULT_POLI
 def q_to_one_experiment(f, stancu, q_list, grid=DEFAULT_GRID, policy=DEFAULT_POLICY):
     """||D_inf,q f - f||_grid for each q; expected to shrink as q -> 1-."""
     q_list = list(q_list)
-    if sorted(q_list) != q_list or any(qv >= 1.0 for qv in q_list):
-        raise ValueError("q_list must increase toward 1 with every q < 1")
+    if any(lo >= hi for lo, hi in zip(q_list, q_list[1:])) or any(qv >= 1.0 for qv in q_list):
+        raise ValueError("q_list must strictly increase toward 1 with every q < 1")
     xs = grid.xs
     f_vals = _finite_values(f, xs)
     out = []

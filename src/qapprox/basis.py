@@ -60,19 +60,44 @@ def _log_c_row(qv, K):
     return _padded(_euler_table(qv)[0], K)
 
 
-def basis_matrix(n, q, xs):
-    """Rows p_{nk}(q;x), k = 0..n, one per x of xs, built from cumulative
-    products along k of the powers x^k and the q-Pochhammer (1-x)_q^m."""
+def basis_matrix(n, q, xs, k_max=None):
+    """Rows p_{nk}(q;x), k = 0..k_max (default n), one per x of xs, built from
+    cumulative products along k of the powers x^k and the q-Pochhammer
+    (x;q)_m = prod_{i<m} (1 - q^i x).
+
+    Column k needs (x;q)_{n-k}, so the columns k <= k_max need m >= n - k_max
+    only: the head (x;q)_{n-k_max} is one product over its factors, k-major
+    and reduced along k, the same left-to-right product as the cumulative
+    one.  From the first i with q^i <= 2^-54 on, 1 - q^i x rounds to 1.0 and
+    leaves a product's bits as they are, so (x;q)_m is (x;q)_live for
+    m >= live (two factors to spare) and the factors past live are never
+    formed.  Every entry has the bits of the plain left-to-right scan of the
+    whole row."""
     qv = as_q(q)
     xs = np.asarray(xs, dtype=float)
     if not np.all((xs >= 0.0) & (xs <= 1.0)):
         raise ValueError("x must lie in [0, 1]")
+    K = n if k_max is None else k_max
+    if not 0 <= K <= n:
+        raise ValueError(f"k_max must lie in 0..{n}, got {K}")
+    live = n if qv**n > 2.0**-54 else min(n, math.ceil(math.log(2.0**-54) / math.log(qv)) + 2)
+    lo = n - K  # column j of poch is (x;q)_{lo + j}
+    span = max(0, live - lo)  # the factors of its columns 1.. that may differ from 1.0
     col = xs[:, None]
-    powers = np.ones((len(xs), n + 1))
-    poch = np.ones((len(xs), n + 1))
-    np.cumprod(np.broadcast_to(col, (len(xs), n)), axis=1, out=powers[:, 1:])
-    np.cumprod(1.0 - (qv ** np.arange(n)) * col, axis=1, out=poch[:, 1:])
-    return q_binomial_row(n, qv) * powers * poch[:, ::-1]
+    q_pow = qv ** np.arange(live)
+    powers = np.ones((len(xs), K + 1))
+    poch = np.ones((len(xs), K + 1))
+    np.cumprod(np.broadcast_to(col, (len(xs), K)), axis=1, out=powers[:, 1:])
+    factors = 1.0 - q_pow[lo:] * col
+    if lo:
+        poch[:, 0] = np.multiply.reduce(1.0 - np.multiply.outer(q_pow[:lo], xs), axis=0)
+        factors[:, :1] *= poch[:, :1]
+    np.cumprod(factors, axis=1, out=poch[:, 1 : span + 1])
+    if span < K:
+        poch[:, span + 1 :] = poch[:, span : span + 1]
+    powers *= q_binomial_row(n, qv)[: K + 1]  # in place, in the scan's order of products
+    powers *= poch[:, ::-1]
+    return powers
 
 
 def basis_row(n, q, x):

@@ -54,14 +54,27 @@ is its one-f case) and limit_basis_identity_sums (the one set 1, w_k and
 w_k^2).  The finite side likewise builds each block of basis rows once per
 call of _finite_columns and contracts it with each f's coefficients.  Each
 column set is its own product, so a row has the bits of its one-f call.
-At x the series stops at the truncation index K_x, never past
-K_cap = max(8, ceil(log(rel_eps (1-q)) / log q)), which depends on q and
-rel_eps only: from there on A_k is f(inner(1)) and c_k is c_inf
+
+A grid row of D_n stops at a truncation index too, by a bound:
+C(n,k)_q <= 1/c_k and (x;q)_{n-k} <= 1, so p_nk(q;x) <= x^k / c_inf.  A
+block of rows whose largest x is x_top builds the columns k <= K only,
+
+    K = min(n, ceil((log(GRID_TAIL / (n + 1)) + log c_inf) / log x_top)),
+
+so each entry it leaves out is below GRID_TAIL / (n + 1), and the mass
+left out below GRID_TAIL max|A|, with GRID_TAIL = 2^-64 far below a
+float's rounding.  K is n at q = 1, in a block that holds x = 1, and in a
+call of one block.  The kept entries have the bits of the whole row's.
+
+On the limit side the series at x stops at the truncation index K_x,
+never past K_cap = max(8, ceil(log(rel_eps (1-q)) / log q)), which depends
+on q and rel_eps only: from there on A_k is f(inner(1)) and c_k is c_inf
 to rel_eps (the limit q-Bernstein behaviour of Il'inskii and Ostrovska, J.
 Approx. Theory 116 (2002)), so the rest of the series is one closed-form
 term, and x up to 1 takes a fixed number of terms.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -156,6 +169,10 @@ BLOCK_WIDEN = 2  # a block of rows spans at most this many times its narrowest w
 # Finite coefficients with (n + 1) x J up to this many weights are one dense
 # block: below it, finding the node windows costs more than the exponentials
 DENSE_ENTRIES = 32 * 1024
+# A grid row stops at the column past which each basis entry is below
+# GRID_TAIL / (n + 1) (_column_limits), so the mass it leaves out is below
+# GRID_TAIL max|A|: far below a float's rounding.
+GRID_TAIL = 2.0**-64
 
 
 # ---------------------------------------------------------------------------
@@ -326,19 +343,40 @@ def apply_finite(spec, f, x):
 def _finite_columns(spec, fs, x):
     """D_n(f; x) for each f of fs at the x of x (raveled), one row per f.
 
-    Each block of basis rows is built once and contracted with each f's
-    coefficients on its own, so every row has the bits of its one-f call.
+    Each block of basis rows is built once, up to its truncation index K
+    (_column_limits), and contracted with each f's coefficients A_n0..A_nK
+    on its own, so every row has the bits of its one-f call.
     """
     xs = np.asarray(x, dtype=float).ravel()  # the basis rejects x outside [0, 1]
     coeffs = [finite_coefficients(spec, f) for f in fs]
     out = np.empty((len(fs), len(xs)))
     rows = max(1, GRID_ENTRIES // (spec.n + 1))
-    for i in range(0, len(xs), rows):
-        block = basis.basis_matrix(spec.n, spec.q, xs[i : i + rows])
+    if len(xs) <= rows:  # one block, as a point query: the rule costs more than it saves
+        block = basis.basis_matrix(spec.n, spec.q, xs)
         for row, c in zip(out, coeffs):
-            row[i : i + rows] = block @ c
+            row[:] = block @ c
+        return out
+    for i, K in zip(range(0, len(xs), rows), _column_limits(spec, xs, rows)):
+        block = basis.basis_matrix(spec.n, spec.q, xs[i : i + rows], K)
+        for row, c in zip(out, coeffs):
+            row[i : i + rows] = block @ c[: K + 1]
         del block  # freed before the next block is built
     return out
+
+
+def _column_limits(spec, xs, rows):
+    """The truncation index K of each block of rows of xs: the least K with
+    x_top^K / c_inf <= GRID_TAIL / (n + 1), x_top the block's largest x,
+    at most n.  As p_nk(q;x) <= x^k / c_k <= x^k / c_inf, every entry past
+    K is below GRID_TAIL / (n + 1).  At q = 1, and in a block whose x_top
+    is not in (0, 1), the rows keep all n + 1 columns: x = 1 needs them, and
+    an x outside [0, 1] (or NaN) is left for the basis to reject."""
+    n, qv = spec.n, as_q(spec.q)
+    if qv == 1.0:
+        return itertools.repeat(n)
+    log_tail = math.log(GRID_TAIL / (n + 1)) + basis._euler_table(qv)[1]
+    tops = np.maximum.reduceat(xs, np.arange(0, len(xs), rows)).tolist()
+    return [min(n, math.ceil(log_tail / math.log(x))) if 0.0 < x < 1.0 else n for x in tops]
 
 
 # ---------------------------------------------------------------------------

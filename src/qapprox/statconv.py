@@ -249,8 +249,8 @@ def korovkin_harness(a, stancu, n_list, grid_xs, query=None, eps_list=(), weight
     sequence under test with limit 0, every (i, eps) in one pass.
     """
     n_list = list(n_list)
-    if any(b > a2 for a2, b in zip(n_list[1:], n_list)):
-        raise ValueError("n_list must be increasing")
+    if any(lo >= hi for lo, hi in zip(n_list, n_list[1:])):
+        raise ValueError("n_list must be strictly increasing")
     if query is None:
         query = DensityQuery()
     stancu = stancu or StancuParams()

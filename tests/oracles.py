@@ -11,7 +11,13 @@ from scipy import integrate
 
 from qapprox import __version__
 from qapprox.basis import _euler_table, _log_c_row, basis_row
-from qapprox.durrmeyer import apply, finite_inner, limit_inner
+from qapprox.durrmeyer import (
+    GRID_ENTRIES,
+    apply,
+    finite_coefficients,
+    finite_inner,
+    limit_inner,
+)
 from qapprox.funcreg import builtin
 from qapprox.moments import MONOMIALS, MomentReport, finite_moment
 from qapprox.qcore import (
@@ -21,6 +27,7 @@ from qapprox.qcore import (
     jackson_integral,
     log_q_pochhammer_inf,
     q_binomial,
+    q_binomial_row,
     q_integer,
 )
 from qapprox.reporting import format_value, meta_lines
@@ -59,6 +66,32 @@ def log_limit_row(q, x, K=None, policy=DEFAULT_POLICY):
         if K > policy.max_terms:
             raise SeriesLimitError("limit operator k-series exceeds max_terms")
     return np.arange(K + 1) * log_x + log_pi - _log_c_row(qv, K)
+
+
+def scan_basis_matrix(n, q, xs):
+    """Rows p_nk(q;x), k = 0..n, one per x of xs: cumulative products along
+    k of x^k and of every factor 1 - q^i x, i < n, none left out."""
+    col = np.asarray(xs, dtype=float)[:, None]
+    powers = np.ones((len(col), n + 1))
+    poch = np.ones((len(col), n + 1))
+    np.cumprod(np.broadcast_to(col, (len(col), n)), axis=1, out=powers[:, 1:])
+    np.cumprod(1.0 - (q ** np.arange(n)) * col, axis=1, out=poch[:, 1:])
+    return q_binomial_row(n, q) * powers * poch[:, ::-1]
+
+
+def full_row_columns(spec, fs, x):
+    """D_n(f; x) for each f of fs at the x of x (raveled), one row per f:
+    the grid side's blocks of rows, each built whole (k = 0..n) by the scan
+    and contracted with all of each f's coefficients."""
+    xs = np.asarray(x, dtype=float).ravel()
+    coeffs = [finite_coefficients(spec, f) for f in fs]
+    out = np.empty((len(fs), len(xs)))
+    rows = max(1, GRID_ENTRIES // (spec.n + 1))
+    for i in range(0, len(xs), rows):
+        block = scan_basis_matrix(spec.n, spec.q, xs[i : i + rows])
+        for row, c in zip(out, coeffs):
+            row[i : i + rows] = block @ c
+    return out
 
 
 def coefficient_finite(spec, k, f):

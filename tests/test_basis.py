@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import direct_basis
+from oracles import direct_basis, scan_basis_matrix
 from qapprox import limit_basis_identity_sums
-from qapprox.basis import basis_row, limit_basis, log_limit_basis
+from qapprox.basis import basis_matrix, basis_row, limit_basis, log_limit_basis
 
 QS = [0.3, 0.6, 0.9, 1.0]
 XS = np.linspace(0.0, 1.0, 101)
@@ -43,6 +44,28 @@ def test_endpoint_degeneracy():
     assert np.sum(row[:6]) == pytest.approx(0.0, abs=1e-14)
     with pytest.raises(ValueError):
         basis_row(5, 0.5, 1.2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(1, 1300),
+    st.one_of(st.floats(0.0, 0.999, exclude_min=True), st.just(1.0)),
+    st.lists(st.floats(0.0, 1.0 - 1e-12), max_size=5),
+)
+@example(1300, 0.999, [0.5, 0.999])
+@example(1000, 1.0, [0.5])
+@example(1, 0.5, [])
+def test_column_limit_keeps_the_bits_of_the_scan(n, q, extra):
+    if q == 1.0:
+        n = min(n, 1000)  # C(n, n/2) overflows a float from n = 1030
+    xs = np.array([0.0, 1.0, 1.0 - 1e-12] + extra)
+    full = scan_basis_matrix(n, q, xs)
+    assert np.array_equal(basis_matrix(n, q, xs), full)
+    for K in range(n + 1):
+        assert np.array_equal(basis_matrix(n, q, xs, K), full[:, : K + 1])
+    for K in (-1, n + 1):
+        with pytest.raises(ValueError, match="k_max"):
+            basis_matrix(n, q, xs, K)
 
 
 def test_limit_basis_boundaries():

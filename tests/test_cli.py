@@ -275,6 +275,24 @@ def test_empty_lists_are_usage_errors(runner, args):
     assert result.exit_code == 2
     assert "is empty" in result.output
 
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["rate", "--f", "t", "--q", "0.9", "--n-list", "5,5"],
+        ["rate", "--f", "t", "--q", "0.9", "--n-list", "5,10,10"],
+        ["q1", "--f", "t", "--q-list", "0.5,0.5"],
+        ["korovkin", "--a", "0.5", "--n-list", "10,10,20"],
+    ],
+)
+def test_repeated_list_values_are_usage_errors(runner, args, tmp_path):
+    out = tmp_path / "report.csv"
+    result = runner.invoke(main, args + ["--grid", "11", "--out", str(out)])
+    assert result.exit_code == 2
+    assert "strictly increas" in result.output
+    assert not out.exists()
+
+
 def test_q1_rows(runner):
     result = runner.invoke(
         main,

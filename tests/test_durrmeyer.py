@@ -9,10 +9,12 @@ from oracles import (
     classical_coefficients,
     coefficient_finite,
     direct_basis,
+    full_row_columns,
     jackson_coefficients,
     limit_jackson_coefficients,
     log_limit_row,
     registry_samples,
+    scan_basis_matrix,
 )
 from qapprox import limit_basis_identity_sums
 from qapprox.analysis import GridSpec
@@ -23,6 +25,8 @@ from qapprox.basis import (
     limit_basis,
 )
 from qapprox.durrmeyer import (
+    GRID_ENTRIES,
+    GRID_TAIL,
     OperatorSpec,
     StancuParams,
     apply,
@@ -37,6 +41,7 @@ from qapprox.durrmeyer import (
     _limit_plan,
     _RULE_T,
     _RULE_W,
+    _column_limits,
     _series_cap,
 )
 from qapprox.funcreg import from_expression, resolve
@@ -567,6 +572,58 @@ def test_grid_working_set_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("q", [0.5, 0.9, 0.99, 0.999])
+@pytest.mark.parametrize("n", [40, 300, 1000, 1300])
+def test_grid_rows_leave_out_only_entries_below_the_tail(n, q):
+    spec = OperatorSpec(n, q)
+    xs = GridSpec(1001).xs
+    rows = GRID_ENTRIES // (n + 1)
+    limits = _column_limits(spec, xs, rows)
+    log_c_inf = _euler_table(q)[1]
+    for i, K in zip(range(0, len(xs), rows), limits):
+        block = scan_basis_matrix(n, q, xs[i : i + rows])
+        assert np.all(block[:, K + 1 :] < GRID_TAIL / (n + 1))
+        x_top = xs[i : i + rows].max()
+        if K < n:  # the least index of the bound x_top^K / c_inf <= GRID_TAIL / (n + 1)
+            assert (K - 1) * math.log(x_top) - log_c_inf > math.log(GRID_TAIL / (n + 1))
+    # the first block's x_top is below 0.06 from n = 300 on; c_inf is tiny at q = 0.999
+    assert (limits[0] < n) == (n >= 1000 or (n >= 300 and q <= 0.99))
+    assert limits[-1] == n  # its block holds x = 1
+
+
+NEAR_ONE_TAIL = 1.0 - 10.0 ** -np.arange(2.0, 13.0)
+CORPUS = [
+    (n, q) for n in (5, 40, 300, 1000, 1300) for q in (0.5, 0.9, 0.99, 0.999, 1.0)
+    if not (q == 1.0 and n > 1000)  # C(1300, 650) overflows a float
+]
+
+
+@pytest.mark.parametrize(
+    "stancu", [StancuParams(), StancuParams(1.0, 2.0)], ids=["plain", "shifted"]
+)
+@pytest.mark.parametrize("n, q", CORPUS)
+def test_grid_side_matches_the_full_rows(n, q, stancu):
+    spec = OperatorSpec(n, q, stancu)
+    grid = GridSpec(1001).xs
+    for f in (from_expression("abs(t-0.37)"), from_expression("sin(3.7*t)")):
+        ulp = np.spacing(np.max(np.abs(finite_coefficients(spec, f))))
+        for xs in (grid, np.concatenate((grid, NEAR_ONE_TAIL))):
+            want = full_row_columns(spec, [f], xs)[0]
+            assert np.all(np.abs(apply_finite(spec, f, xs) - want) <= ulp)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -0.5, 1.5, -math.inf])
+@pytest.mark.parametrize("where", [0, 500, 1000])
+def test_grid_checks_x_before_its_truncation_index(bad, where):
+    spec = OperatorSpec(1000, 0.9)
+    xs = GridSpec(1001).xs.copy()
+    xs[where] = bad
+    with pytest.raises(ValueError, match=r"^x must lie in \[0, 1\]$"):
+        apply_finite(spec, from_expression("t^2"), xs)
+    with pytest.raises(ValueError, match=r"^x must lie in \[0, 1\]$"):
+        apply_finite(spec, from_expression("t^2"), np.full(1001, bad))
 
 
 def test_finite_coefficients_near_one_working_set_is_bounded():
