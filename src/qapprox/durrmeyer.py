@@ -42,10 +42,13 @@ one rank-3 matrix product.
 
 On the limit side the node count, the windows and the row blocks depend on
 q and the TruncationPolicy only, not on f or the shifts.  They form the
-plan of (q, policy) (_limit_plan, a bounded LRU), which every f shares.
-It is built once up to K_cap (below), and limit_coefficients memoises the
-whole array A_0..A_{K_cap} of each (spec, f).  The finite side finds its
-windows per call, as each n has its own.
+plan of (q, policy) (_limit_plan, a bounded LRU), which every f shares,
+with the nodes and the factors of the log weights.  It is built once up
+to K_cap (below), and limit_coefficients memoises the whole array
+A_0..A_{K_cap} of each (spec, f).  Both limit kernels size their blocks by
+GRID_ENTRIES, so each block's weights stay within a core's cache.  The
+finite side finds its windows per call, as each n has its own, and keeps
+blocks of BLOCK_ENTRIES.
 
 The limit series is summed by one kernel, _limit_sums, which takes several
 column sets and builds each block of weights p_{inf,k}(q;x) once for all of
@@ -159,11 +162,15 @@ def _shaped(vals, x):
     return float(vals[0]) if np.ndim(x) == 0 else vals.reshape(np.shape(x))
 
 
-# Entries of p_nk built and contracted at a time on the grid side, in blocks
-# of max(1, GRID_ENTRIES // (n + 1)) rows: each temporary of basis_matrix
-# stays at 128 KiB, within a core's cache.  Measured at grid 1001, q = 0.9:
-# 256-row blocks took twice as long at n = 1000 (2 MB temporaries), and
-# budgets from 8 Ki to 32 Ki entries were within noise of each other.
+# Entries built and contracted at a time by the grid side and both limit
+# kernels, so each temporary stays at 128 KiB, within a core's cache.  The
+# finite grid takes blocks of max(1, GRID_ENTRIES // (n + 1)) rows: at grid
+# 1001, q = 0.9, 256-row blocks took twice as long at n = 1000 (2 MB
+# temporaries), and budgets from 8 Ki to 32 Ki entries were within noise of
+# each other.  The limit plan and series bound rows x column span by it (a
+# one-row block may exceed it): at q = 0.999 the plan's blocks hold 1.98 M
+# weights instead of 2.87 M with BLOCK_ENTRIES; with the plan's tables kept
+# as well, a cold limit_coefficients took 6.6 instead of 10.9 ms there.
 GRID_ENTRIES = 16 * 1024
 BLOCK_WIDEN = 2  # a block of rows spans at most this many times its narrowest window
 # Finite coefficients with (n + 1) x J up to this many weights are one dense
@@ -182,8 +189,11 @@ GRID_TAIL = 2.0**-64
 
 @lru_cache(maxsize=512)
 def finite_coefficients(spec, f):
-    """All A_{nk}(f), k = 0..n, as a read-only array (cached per (spec, f))."""
+    """All A_{nk}(f), k = 0..n, as a read-only array (cached per (spec, f)).
+    The n + 1 coefficients count against max_terms before anything is built."""
     n = spec.n
+    if n + 1 > spec.policy.max_terms:
+        raise SeriesLimitError("finite coefficient count n + 1 exceeds max_terms")
     qv = as_q(spec.q)
     if qv == 1.0:
         out = q_integer(n + 1, qv) * _classical_integrals(spec, f)
@@ -230,7 +240,7 @@ def _jackson_coefficients(spec, f):
         lo, hi = _node_windows(log_w, peak, top + math.log(policy.rel_eps / J), J)
     t_nodes = qv ** np.arange(hi.max())
     f_one = np.column_stack((_finite_values(f, finite_inner(spec, t_nodes)), np.ones(len(t_nodes))))
-    blocks = list(_blocks(lo, hi))
+    blocks = list(_blocks(lo, hi, BLOCK_ENTRIES))
     sums = np.empty((n + 1, 2))
     buf, g = np.empty((2, max((ks.stop - ks.start) * (b - a) for ks, a, b in blocks)))
     for ks, a, b in blocks:
@@ -386,20 +396,25 @@ def _column_limits(spec, xs, rows):
 
 @lru_cache(maxsize=64)
 def _limit_plan(qv, policy):
-    """(J, blocks) of (q, policy): the node count, and _blocks over the node
-    windows of every k = 0..K_cap.  Neither depends on f or the shifts."""
+    """(blocks, left, right, nodes) of (q, policy), each read-only: _blocks
+    over the node windows of every k = 0..K_cap, the factors of the log
+    weights (_limit_factors) and the J nodes q^j.  None depends on f or the
+    shifts."""
     # node count large enough that every A_k tail is below rel_eps
     J = int(math.ceil((-math.log(policy.rel_eps) + 6.0) / (-math.log(qv)))) + 3
     if J > policy.max_terms:
         raise SeriesLimitError("limit coefficient node count exceeds max_terms")
     left, right = _limit_factors(qv, _series_cap(qv, policy), J)
+    nodes = qv ** np.arange(J)
     rates, neg_log_c, g = left[:, 0], left[:, 2], right[1]
     # e_k(j+1) - e_k(j) = rate_k - log(1 - q^(j+1)): the peak is the first
     # j where that step is not positive
-    peak = np.searchsorted(np.log1p(-(qv ** np.arange(J))[1:]), rates)
+    peak = np.searchsorted(np.log1p(-nodes[1:]), rates)
     cut = math.log(policy.rel_eps / J) - neg_log_c
     lo, hi = _node_windows(lambda j: j * rates + g[j], peak, cut, J)
-    return J, tuple(_blocks(lo, hi))
+    for table in (left, right, nodes):
+        table.flags.writeable = False
+    return tuple(_blocks(lo, hi, GRID_ENTRIES)), left, right, nodes
 
 
 def _limit_factors(qv, K, J):
@@ -421,17 +436,17 @@ def limit_coefficients(spec, f):
 
     A_k = sum_j w_kj f_j / sum_j w_kj over the node window of each k (see
     the module docstring), with log w_kj = j rate_k + g_j - log c_k built
-    per block as [rate_k, 1, -log c_k] . [j, g_j, 1].  The node count and
-    the row blocks come from the plan of (q, policy) (_limit_plan).
+    per block as [rate_k, 1, -log c_k] . [j, g_j, 1].  The nodes, those
+    factors and the row blocks come from the plan of (q, policy)
+    (_limit_plan).
     """
     if not spec.is_limit:
         raise ValueError("limit_coefficients requires the limit operator")
-    qv, policy = as_q(spec.q), spec.policy
-    J, blocks = _limit_plan(qv, policy)
-    left, right = _limit_factors(qv, _series_cap(qv, policy), J)
+    qv = as_q(spec.q)
+    blocks, left, right, nodes = _limit_plan(qv, spec.policy)
     # columns f and 1: one product gives each A_k and its weight sum
-    f_one = np.ones((J, 2))
-    f_one[:, 0] = _finite_values(f, limit_inner(qv, spec.stancu, qv ** np.arange(J)))
+    f_one = np.ones((len(nodes), 2))
+    f_one[:, 0] = _finite_values(f, limit_inner(qv, spec.stancu, nodes))
     (sums,) = _block_sums(left, right, [f_one], blocks)
     out = sums[:, 0] / sums[:, 1]
     out.flags.writeable = False
@@ -468,20 +483,20 @@ def _first_true(test, lo, hi):
         lo = np.where(open_ & ~t, mid + 1, lo)
 
 
-def _blocks(lo, hi):
+def _blocks(lo, hi, budget):
     """Consecutive row slices, each with the columns [a, b) that the union of
     its rows' windows [lo, hi) spans.  A block grows while rows x union stays
-    within BLOCK_ENTRIES and the union within BLOCK_WIDEN times the narrowest
-    window of the block."""
+    within budget entries and the union within BLOCK_WIDEN times the
+    narrowest window of the block."""
     width = hi - lo
     start = 0
     while start < len(lo):
         # the union is at least the first window, which caps the rows
-        stop = min(len(lo), start + max(1, BLOCK_ENTRIES // int(width[start])))
+        stop = min(len(lo), start + max(1, budget // int(width[start])))
         a = np.minimum.accumulate(lo[start:stop])
         b = np.maximum.accumulate(hi[start:stop])
         union = b - a
-        fits = (np.arange(1, stop - start + 1) * union <= BLOCK_ENTRIES) & (
+        fits = (np.arange(1, stop - start + 1) * union <= budget) & (
             union <= BLOCK_WIDEN * np.minimum.accumulate(width[start:stop])
         )
         n = len(fits) if fits.all() else max(1, int(fits.argmin()))  # leading fits
@@ -538,8 +553,8 @@ def _limit_sums(qv, policy, x_in, columns, ends):
     T_x = sum_{k>K_cap} x^k (x;q)_inf / c_inf
         = x^(K_cap+1) (x;q)_inf / ((1 - x) c_inf).
     Returns the sums and the column sets, one of each per end.  Blocks of x
-    run over k = 0..K_x through the coefficients' kernel, each block's
-    weights built once for all column sets."""
+    (of GRID_ENTRIES) run over k = 0..K_x through the coefficients' kernel,
+    each block's weights built once for all column sets."""
     left = np.ones((len(x_in), 3))  # [log x, 1, log (x;q)_inf] per row
     log_x = np.log(x_in, out=left[:, 0])
     log_pi = log_q_pochhammer_inf(x_in, qv, policy)
@@ -557,7 +572,8 @@ def _limit_sums(qv, policy, x_in, columns, ends):
     right = np.ones((3, k_top + 1))  # [k, -log c_k, 1] per column
     right[0] = np.arange(k_top + 1)
     np.negative(basis._log_c_row(qv, k_top), out=right[1])
-    sums = _block_sums(left, right, col_sets, list(_blocks(np.zeros_like(K), K + 1)))
+    blocks = list(_blocks(np.zeros_like(K), K + 1, GRID_ENTRIES))
+    sums = _block_sums(left, right, col_sets, blocks)
     for s, end in zip(sums, ends):
         s += np.multiply.outer(tail, end)
     return sums, col_sets

@@ -107,7 +107,7 @@ def q_binomial_row(n, q):
     return _q_binomial_row_cached(n, as_q(q))
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=128)
 def _q_binomial_row_cached(n, qv):
     """C(n,k)_q for k <= n // 2 from the ratios C(n,k+1)_q / C(n,k)_q =
     [n-k]_q / [k+1]_q (one cumulative product; exact integers at q = 1),

@@ -128,21 +128,27 @@ def jackson_coefficients(specs, fs, ks, extra=4000):
     return np.array(out, dtype=float)
 
 
-def limit_jackson_coefficients(spec, f, ks):
-    """A_k(f) of the limit operator for the k in ks: the Jackson sum over
-    every node q^j down to 1e-22, normalised by its own weight sum, with the
-    weights q^{(k+1) j} / c_j formed and summed in extended precision."""
-    q = spec.q
+def limit_jackson_coefficients(specs, fs, ks):
+    """A_k(f) of the limit operator for the k in ks and every (spec, f)
+    pair, the specs sharing q: the Jackson sum over every node q^j down to
+    1e-22, normalised by its own weight sum, with the weights
+    q^{(k+1) j} / c_j formed and summed in extended precision.  One row per
+    k, one column per pair."""
+    q = specs[0].q
     js = np.arange(int(math.log(1e-22) / math.log(q)))
     q_ext = np.longdouble(q)
     log_c = np.concatenate(([0], np.cumsum(np.log1p(-(q_ext ** js[1:])))))
-    f_nodes = np.broadcast_to(f(limit_inner(q, spec.stancu, q**js)), js.shape).astype(np.longdouble)
+    t = q**js
+    cols = np.array(
+        [np.broadcast_to(f(limit_inner(q, spec.stancu, t)), t.shape) for spec in specs for f in fs],
+        dtype=np.longdouble,
+    ).T
     out = []
     for k in ks:
         e = (k + 1) * js * np.log(q_ext) - log_c
         w = np.exp(e - e.max())
-        out.append(w @ f_nodes / w.sum())
-    return np.array(out, dtype=float)
+        out.append(w @ cols / w.sum())
+    return np.array(out, dtype=float).reshape(len(out), cols.shape[1])
 
 
 def classical_coefficients(spec, f, kinks=()):

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -405,6 +406,28 @@ def test_eval_overflowing_f_is_a_numeric_error(runner, operator):
         main, ["eval", *operator, "--q", "0.5", "--f", "exp(1000*t)", "--grid", "5"]
     )
     assert result.exit_code == 3
+
+
+@pytest.mark.parametrize("n", ["2147483648", "10000000"])
+def test_eval_degree_beyond_max_terms_exits_3_at_once(runner, n):
+    # the n + 1 coefficients count against --max-terms before anything is
+    # allocated: no MemoryError, no gigabytes
+    start = time.perf_counter()
+    result = runner.invoke(main, ["eval", "--n", n, "--q", "0.5", "--f", "t", "--grid", "3"])
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 3
+    assert result.stderr.splitlines() == ["numeric error: finite coefficient count n + 1 exceeds max_terms"]
+
+
+def test_rate_ratio_is_nan_where_omega_is_zero(runner):
+    # grid 2 has spacing 1, so omega(t, q^2) compares pairs within 0.25 + 0.5
+    # of each other: none, and omega is 0
+    result = runner.invoke(main, ["rate", "--f", "t", "--q", "0.5", "--n-list", "1,2", "--grid", "2"])
+    assert result.exit_code == 0
+    _, rows = parse_csv(result.output)
+    assert [(row[0], row[5], row[6]) for row in rows] == [
+        ("1", "1", "0.1428571428571429"), ("2", "0", "nan")
+    ]
 
 
 def test_eval_classical_beyond_float_binomials_is_a_numeric_error(runner):

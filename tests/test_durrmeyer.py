@@ -16,7 +16,7 @@ from oracles import (
     registry_samples,
     scan_basis_matrix,
 )
-from qapprox import limit_basis_identity_sums
+from qapprox import durrmeyer, limit_basis_identity_sums
 from qapprox.analysis import GridSpec
 from qapprox.basis import (
     INFINITE,
@@ -25,6 +25,7 @@ from qapprox.basis import (
     limit_basis,
 )
 from qapprox.durrmeyer import (
+    BLOCK_WIDEN,
     GRID_ENTRIES,
     GRID_TAIL,
     OperatorSpec,
@@ -251,7 +252,7 @@ def _limit_coefficients_to(spec, f, k_max):
     # A_k for k <= K_cap from limit_coefficients, the rest from the dense oracle
     cap = _series_cap(spec.q, spec.policy)
     head = limit_coefficients(spec, f)[: k_max + 1]
-    return np.concatenate((head, limit_jackson_coefficients(spec, f, range(cap + 1, k_max + 1))))
+    return np.concatenate((head, limit_jackson_coefficients([spec], [f], range(cap + 1, k_max + 1))[:, 0]))
 
 
 def test_limit_coefficient_cache_is_bounded():
@@ -317,8 +318,11 @@ def test_memo_values_are_read_only():
     for value in values:
         with pytest.raises(ValueError):
             value[0] = 1.0
-    _, blocks = _limit_plan(0.9, DEFAULT_POLICY)
+    blocks, left, right, nodes = _limit_plan(0.9, DEFAULT_POLICY)
     assert isinstance(blocks, tuple)
+    for table in (left, right, nodes):
+        with pytest.raises(ValueError):
+            table[0] = 1.0
 
 
 def test_equal_sources_share_a_cache_key():
@@ -361,7 +365,83 @@ def test_limit_coefficients_match_dense_jackson_sum(q):
     k_max = min(len(log_limit_row(q, 0.995)) - 1, _series_cap(q, DEFAULT_POLICY))
     got = limit_coefficients(spec, f)
     ks = sorted(set(np.linspace(0, k_max, 40, dtype=int)))
-    assert got[ks] == pytest.approx(limit_jackson_coefficients(spec, f, ks), rel=1e-13)
+    assert got[ks] == pytest.approx(limit_jackson_coefficients([spec], [f], ks)[:, 0], rel=1e-13)
+
+
+BENCHMARK_FAMILIES = ["0.3-1.2*t+2.5*t^2", "sin(3.7*t)", "abs(t-0.37)", "exp(-2.3*t)*t^2"]
+
+
+@pytest.mark.parametrize("q", [0.99, 0.995, 0.999])
+def test_limit_coefficients_of_the_benchmark_families_match_the_oracle(q):
+    specs = [OperatorSpec(INFINITE, q, stancu) for stancu in (StancuParams(), StancuParams(1.0, 2.0))]
+    fs = [resolve(src) for src in BENCHMARK_FAMILIES]
+    ks = sorted(set(np.linspace(0, _series_cap(q, DEFAULT_POLICY), 60, dtype=int)))
+    got = np.column_stack([limit_coefficients(spec, f)[ks] for spec in specs for f in fs])
+    assert got == pytest.approx(limit_jackson_coefficients(specs, fs, ks), rel=1e-13)
+
+
+def _blocks_seen(run):
+    """run() with durrmeyer._blocks spied on: its value, and the
+    (lo, hi, budget, blocks) of each call of _blocks."""
+    calls = []
+    real = durrmeyer._blocks
+
+    def spy(lo, hi, budget):
+        blocks = list(real(lo, hi, budget))
+        calls.append((lo, hi, budget, blocks))
+        return iter(blocks)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(durrmeyer, "_blocks", spy)
+        out = run()
+    return out, calls
+
+
+def _assert_block_invariants(lo, hi, budget, blocks):
+    # consecutive row slices that cover every row, each column span holding
+    # its rows' windows, within the budget and BLOCK_WIDEN of the narrowest
+    assert budget == GRID_ENTRIES
+    assert [ks.start for ks, _, _ in blocks] == [0] + [ks.stop for ks, _, _ in blocks[:-1]]
+    assert blocks[-1][0].stop == len(lo)
+    for ks, a, b in blocks:
+        rows = ks.stop - ks.start
+        assert rows >= 1
+        assert np.all(lo[ks] >= a) and np.all(hi[ks] <= b)
+        assert rows == 1 or rows * (b - a) <= budget
+        assert b - a <= BLOCK_WIDEN * np.min(hi[ks] - lo[ks])
+
+
+@settings(max_examples=15, deadline=None)
+@given(q=st.floats(0.3, 0.999))
+@example(q=0.999)
+def test_limit_plan_blocks_hold_the_node_windows(q):
+    plan, calls = _blocks_seen(lambda: _limit_plan.__wrapped__(q, DEFAULT_POLICY))
+    ((lo, hi, budget, blocks),) = calls
+    plan_blocks, left, right, nodes = plan
+    J = len(nodes)
+    assert plan_blocks == tuple(blocks) and len(lo) == _series_cap(q, DEFAULT_POLICY) + 1
+    _assert_block_invariants(lo, hi, budget, blocks)
+    # each window is where log w_kj = j rate_k + g_j reaches the cut, and
+    # ends where it falls below it
+    cut = math.log(DEFAULT_POLICY.rel_eps / J) - left[:, 2]
+    rows = np.arange(len(lo))
+
+    def below(j, where):
+        return (j * left[rows, 0] + right[1, np.minimum(j, J - 1)] < cut)[where]
+
+    assert np.all(below(lo - 1, lo > 0)) and np.all(below(hi, hi < J))
+    assert not np.any(below(lo, lo < hi))
+
+
+@pytest.mark.parametrize("q", [0.9, 0.99, 0.999])
+def test_limit_series_blocks_hold_each_row(q):
+    spec = OperatorSpec(INFINITE, q)
+    f = resolve("sin(3.7*t)")
+    limit_coefficients(spec, f)  # the plan's blocks are not the series'
+    _, calls = _blocks_seen(lambda: apply_limit(spec, f, GridSpec(201).xs))
+    ((lo, hi, budget, blocks),) = calls
+    assert np.all(lo == 0) and len(lo) == 199  # the x in (0, 1)
+    _assert_block_invariants(lo, hi, budget, blocks)
 
 
 def test_classical_operator_beyond_float_binomials_is_a_numeric_error():

@@ -10,6 +10,7 @@ from qapprox.qcore import (
     NumericError,
     SeriesLimitError,
     TruncationPolicy,
+    _q_binomial_row_cached,
     jackson_integral,
     log_q_pochhammer_inf,
     q_binomial,
@@ -200,6 +201,13 @@ def test_deterministic_bitwise():
     a = jackson_integral(f, 0.7)
     b = jackson_integral(f, 0.7)
     assert a == b
+
+
+def test_binomial_row_cache_is_bounded():
+    for i in range(300):  # 300 distinct (n, q)
+        q_binomial_row(5 + i % 30, 0.3 + 0.002 * i)
+    info = _q_binomial_row_cached.cache_info()
+    assert info.maxsize == 128 and info.currsize <= 128
 
 
 def test_max_terms_exhaustion_signals():
