@@ -10,8 +10,6 @@ from .qcore import (  # noqa: F401
     SeriesLimitError,
     TruncationPolicy,
     jackson_integral,
-    q_binomial,
-    q_factorial,
     q_integer,
 )
 from .basis import INFINITE, limit_basis  # noqa: F401

@@ -24,11 +24,15 @@ EXIT_NUMERIC = 3
 
 
 def _parse_int_list(text):
-    """Accept '50,100,200' or a range '5..40'; an empty list is a usage error."""
+    """Accept '50,100,200' or a range '5..40'; an empty list, or a range of
+    more than DEFAULT_POLICY.max_terms values, is a usage error."""
     text = text.strip()
     if ".." in text:
         lo, _, hi = text.partition("..")
-        return _nonempty(list(range(int(lo), int(hi) + 1)), text)
+        lo, hi = int(lo), int(hi)
+        if hi - lo >= DEFAULT_POLICY.max_terms:  # checked before the list is built
+            raise click.UsageError(f"the range {text!r} has more than {DEFAULT_POLICY.max_terms} values")
+        return _nonempty(list(range(lo, hi + 1)), text)
     return _nonempty([int(part) for part in text.split(",") if part], text)
 
 
@@ -50,6 +54,13 @@ def _tolerance(ctx, param, tol):
     return tol
 
 
+def _threshold(label, value, tol):
+    """Exit with code 1 unless value <= tol, so a NaN value fails too."""
+    if not value <= tol:
+        click.echo(f"{label} {value:g} exceeds tol {tol:g}", err=True)
+        sys.exit(EXIT_THRESHOLD)
+
+
 def _cannot_write(out, reason):
     click.echo(f"cannot write {out}: {reason}", err=True)
     sys.exit(EXIT_CONFIG)
@@ -63,47 +74,52 @@ def _out_folder_exists(ctx, param, out):
     return out
 
 
-@contextlib.contextmanager
-def _output(out):
-    """open_output(out); a path that cannot be opened exits with code 2."""
+def _report(columns, rows):
+    """Write the report to --out in --format; a path that cannot be opened
+    exits with code 2.  Its config lines are the command's name and every
+    other option as parsed."""
+    ctx = click.get_current_context()
+    meta = {"command": ctx.info_name, **ctx.params}
+    out, fmt = meta.pop("out"), meta.pop("fmt")
     with contextlib.ExitStack() as stack:
         try:
             stream = stack.enter_context(open_output(out))
         except OSError as exc:
             _cannot_write(out, exc.strerror or exc)
-        yield stream
-
-
-def _write(out, fmt, columns, rows, meta):
-    with _output(out) as stream:
-        if fmt == "json":
-            write_json(stream, columns, rows, meta=meta)
-        else:
-            write_csv(stream, columns, rows, meta=meta)
+        (write_json if fmt == "json" else write_csv)(stream, columns, rows, meta=meta)
 
 
 def _common(fn):
     fn = click.option("--out", default="-", show_default=True, callback=_out_folder_exists,
                       help="output path ('-' = stdout)")(fn)
-    fn = click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)(fn)
-    return fn
-
-
-_f_option = click.option("--f", "fsrc", required=True, help="expression in t, or a registry "
-                         "alias of one: id, square, expdec, const:c, absdev:c, sin:a")
+    return click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
+                        show_default=True)(fn)
 
 
 def _series(fn):
     """Truncation options of the commands that evaluate series."""
     fn = click.option("--rel-eps", default=DEFAULT_POLICY.rel_eps, show_default=True)(fn)
-    fn = click.option(
-        "--max-terms",
-        default=DEFAULT_POLICY.max_terms,
-        show_default=True,
-        envvar="QAPPROX_MAX_TERMS",
-        help="series term cap (env: QAPPROX_MAX_TERMS)",
-    )(fn)
-    return fn
+    return click.option("--max-terms", default=DEFAULT_POLICY.max_terms, show_default=True,
+                        envvar="QAPPROX_MAX_TERMS", help="series term cap (env: QAPPROX_MAX_TERMS)")(fn)
+
+
+def _stancu(fn):
+    """The Stancu shifts --varpi and --vartheta."""
+    fn = click.option("--vartheta", default=0.0, show_default=True)(fn)
+    return click.option("--varpi", default=0.0, show_default=True)(fn)
+
+
+def _grid(default):
+    return click.option("--grid", type=int, default=default, show_default=True)
+
+
+def _tol(default, help):
+    return click.option("--tol", default=default, show_default=True, callback=_tolerance, help=help)
+
+
+_q = click.option("--q", type=float, required=True)
+_f = click.option("--f", required=True, help="expression in t, or a registry alias of one: "
+                  "id, square, expdec, const:c, absdev:c, sin:a")
 
 
 @click.group()
@@ -111,10 +127,12 @@ def main():
     """q-Durrmeyer-Stancu operator experiments."""
 
 
-def _run(compute):
-    """Validate/compute, mapping numeric failures to exit code 3."""
+@contextlib.contextmanager
+def _run():
+    """Validate/compute in the block: a ValueError exits with code 2 as a
+    usage error, a QApproxError with code 3 as a numeric one."""
     try:
-        return compute()
+        yield
     except ValueError as exc:
         raise click.UsageError(str(exc))
     except QApproxError as exc:
@@ -125,164 +143,105 @@ def _run(compute):
 @main.command("eval")
 @click.option("--n", type=int, default=None, help="operator degree (finite operator)")
 @click.option("--limit", "use_limit", is_flag=True, help="use the limit operator")
-@click.option("--q", type=float, required=True)
-@click.option("--varpi", default=0.0, show_default=True)
-@click.option("--vartheta", default=0.0, show_default=True)
-@_f_option
-@click.option("--grid", "grid_points", type=int, default=1001, show_default=True)
+@_q
+@_stancu
+@_f
+@_grid(1001)
 @_common
 @_series
-def cmd_eval(n, use_limit, q, varpi, vartheta, fsrc, grid_points, out, fmt, rel_eps, max_terms):
+def cmd_eval(n, use_limit, q, varpi, vartheta, f, grid, out, fmt, rel_eps, max_terms):
     """Evaluate the operator on a uniform grid: rows (x, value)."""
     if (n is None) == (not use_limit):
         raise click.UsageError("exactly one of --n or --limit is required")
-    meta = {
-        "command": "eval", "n": "inf" if use_limit else n, "q": q, "varpi": varpi,
-        "vartheta": vartheta, "f": fsrc, "grid": grid_points,
-        "rel_eps": rel_eps, "max_terms": max_terms,
-    }
-
-    def compute():
-        f = funcreg.resolve(fsrc)
-        policy = TruncationPolicy(rel_eps, max_terms)
+    params = click.get_current_context().params
+    params["n"] = "inf" if params.pop("use_limit") else n  # --limit reports as n=inf
+    with _run():
+        fn, policy = funcreg.resolve(f), TruncationPolicy(rel_eps, max_terms)
         stancu = durrmeyer.StancuParams(varpi, vartheta)
         spec = durrmeyer.OperatorSpec(INFINITE if use_limit else n, q, stancu, policy)
-        xs = analysis.GridSpec(grid_points).xs
-        vals = durrmeyer.apply(spec, f, xs)
-        return list(zip(xs.tolist(), vals.tolist()))
-
-    rows = _run(compute)
-    _write(out, fmt, ("x", "value"), rows, meta)
+        xs = analysis.GridSpec(grid).xs
+        values = durrmeyer.apply(spec, fn, xs)
+    _report(("x", "value"), list(zip(xs.tolist(), values.tolist())))
 
 
 @main.command("moments-verify")
-@click.option("--tol", default=1e-9, show_default=True, callback=_tolerance,
-              help="max allowed abs deviation")
+@_tol(1e-9, "max allowed abs deviation")
 @_common
 def cmd_moments_verify(tol, out, fmt):
     """Compare closed-form moments against the operator series path."""
-    meta = {"command": "moments-verify", "tol": tol}
-    report = _run(moments.verify_moments)
-    with _output(out) as stream:
-        if fmt == "json":
-            report.to_json(stream, meta=meta)
-        else:
-            report.to_csv(stream, meta=meta)
-    if not report.max_abs_dev <= tol:  # a NaN deviation fails too
-        click.echo(f"max_abs_dev {report.max_abs_dev:g} exceeds tol {tol:g}", err=True)
-        sys.exit(EXIT_THRESHOLD)
+    with _run():
+        report = moments.verify_moments()
+    _report(report.columns(), report.table())
+    _threshold("max_abs_dev", report.max_abs_dev, tol)
 
 
 @main.command("rate")
-@_f_option
-@click.option("--q", type=float, required=True)
-@click.option("--varpi", default=0.0, show_default=True)
-@click.option("--vartheta", default=0.0, show_default=True)
+@_f
+@_q
+@_stancu
 @click.option("--n-list", default="5..40", show_default=True)
-@click.option("--grid", "grid_points", type=int, default=1001, show_default=True)
+@_grid(1001)
 @_common
 @_series
-def cmd_rate(fsrc, q, varpi, vartheta, n_list, grid_points, out, fmt, rel_eps, max_terms):
+def cmd_rate(f, q, varpi, vartheta, n_list, grid, out, fmt, rel_eps, max_terms):
     """Finite-vs-limit convergence rows (n, sup_diff, omega, ratio)."""
-    meta = {
-        "command": "rate", "f": fsrc, "q": q, "varpi": varpi, "vartheta": vartheta,
-        "n_list": n_list, "grid": grid_points, "rel_eps": rel_eps, "max_terms": max_terms,
-    }
-
-    def compute():
-        f = funcreg.resolve(fsrc)
+    with _run():
         report = analysis.rate_experiment(
-            f, q, durrmeyer.StancuParams(varpi, vartheta), _parse_int_list(n_list),
-            analysis.GridSpec(grid_points), TruncationPolicy(rel_eps, max_terms),
+            funcreg.resolve(f), q, durrmeyer.StancuParams(varpi, vartheta), _parse_int_list(n_list),
+            analysis.GridSpec(grid), TruncationPolicy(rel_eps, max_terms),
         )
-        return [
-            (n, q, varpi, vartheta, sup_diff, omega, ratio)
-            for (n, sup_diff, omega, ratio) in report.rows
-        ]
-
-    rows = _run(compute)
-    _write(out, fmt, ("n", "q", "varpi", "vartheta", "sup_diff", "omega", "ratio"), rows, meta)
+    _report(("n", "q", "varpi", "vartheta", "sup_diff", "omega", "ratio"),
+            [(n, q, varpi, vartheta, *rest) for n, *rest in report.rows])
 
 
 @main.command("q1")
-@_f_option
+@_f
 @click.option("--q-list", default="0.9,0.99,0.999", show_default=True)
-@click.option("--varpi", default=0.0, show_default=True)
-@click.option("--vartheta", default=0.0, show_default=True)
-@click.option("--grid", "grid_points", type=int, default=1001, show_default=True)
+@_stancu
+@_grid(1001)
 @_common
 @_series
-def cmd_q1(fsrc, q_list, varpi, vartheta, grid_points, out, fmt, rel_eps, max_terms):
+def cmd_q1(f, q_list, varpi, vartheta, grid, out, fmt, rel_eps, max_terms):
     """Limit-operator error ||D_inf,q f - f|| for q increasing toward 1."""
-    meta = {
-        "command": "q1", "f": fsrc, "q_list": q_list, "varpi": varpi,
-        "vartheta": vartheta, "grid": grid_points, "rel_eps": rel_eps, "max_terms": max_terms,
-    }
-
-    def compute():
-        f = funcreg.resolve(fsrc)
-        return analysis.q_to_one_experiment(
-            f, durrmeyer.StancuParams(varpi, vartheta), _parse_float_list(q_list),
-            analysis.GridSpec(grid_points), TruncationPolicy(rel_eps, max_terms),
+    with _run():
+        rows = analysis.q_to_one_experiment(
+            funcreg.resolve(f), durrmeyer.StancuParams(varpi, vartheta), _parse_float_list(q_list),
+            analysis.GridSpec(grid), TruncationPolicy(rel_eps, max_terms),
         )
-
-    rows = _run(compute)
-    _write(out, fmt, ("q", "sup_diff"), rows, meta)
+    _report(("q", "sup_diff"), rows)
 
 
 @main.command("fixed")
-@_f_option
-@click.option("--q", type=float, required=True)
-@click.option("--varpi", default=0.0, show_default=True)
-@click.option("--vartheta", default=0.0, show_default=True)
-@click.option("--grid", "grid_points", type=int, default=1001, show_default=True)
+@_f
+@_q
+@_stancu
+@_grid(1001)
 @_common
 @_series
-def cmd_fixed(fsrc, q, varpi, vartheta, grid_points, out, fmt, rel_eps, max_terms):
+def cmd_fixed(f, q, varpi, vartheta, grid, out, fmt, rel_eps, max_terms):
     """Fixed-point distance ||D_inf f - f|| (zero iff f is constant)."""
-    meta = {
-        "command": "fixed", "f": fsrc, "q": q, "varpi": varpi, "vartheta": vartheta,
-        "grid": grid_points, "rel_eps": rel_eps, "max_terms": max_terms,
-    }
-
-    def compute():
-        f = funcreg.resolve(fsrc)
+    with _run():
         value = analysis.fixed_point_check(
-            f, q, durrmeyer.StancuParams(varpi, vartheta),
-            analysis.GridSpec(grid_points), TruncationPolicy(rel_eps, max_terms),
+            funcreg.resolve(f), q, durrmeyer.StancuParams(varpi, vartheta),
+            analysis.GridSpec(grid), TruncationPolicy(rel_eps, max_terms),
         )
-        return [(q, varpi, vartheta, value)]
-
-    rows = _run(compute)
-    _write(out, fmt, ("q", "varpi", "vartheta", "sup_diff"), rows, meta)
+    _report(("q", "varpi", "vartheta", "sup_diff"), [(q, varpi, vartheta, value)])
 
 
 @main.command("ineq")
 @click.option("--n", type=int, required=True)
-@click.option("--q", type=float, required=True)
-@click.option("--grid", "grid_points", type=int, default=101, show_default=True)
-@click.option("--tol", default=1e-12, show_default=True, callback=_tolerance,
-              help="max allowed violation")
+@_q
+@_grid(101)
+@_tol(1e-12, "max allowed violation")
 @_common
 @_series
-def cmd_ineq(n, q, grid_points, tol, out, fmt, rel_eps, max_terms):
+def cmd_ineq(n, q, grid, tol, out, fmt, rel_eps, max_terms):
     """Max violation of the finite/limit basis domination inequality."""
-    meta = {
-        "command": "ineq", "n": n, "q": q, "grid": grid_points, "tol": tol,
-        "rel_eps": rel_eps, "max_terms": max_terms,
-    }
-
-    def compute():
+    with _run():
         value = analysis.basis_inequality_check(
-            n, q, analysis.GridSpec(grid_points), TruncationPolicy(rel_eps, max_terms)
-        )
-        return [(n, q, value)]
-
-    rows = _run(compute)
-    _write(out, fmt, ("n", "q", "max_violation"), rows, meta)
-    if not rows[0][2] <= tol:  # a NaN violation fails too
-        click.echo(f"max violation {rows[0][2]:g} exceeds tol {tol:g}", err=True)
-        sys.exit(EXIT_THRESHOLD)
+            n, q, analysis.GridSpec(grid), TruncationPolicy(rel_eps, max_terms))
+    _report(("n", "q", "max_violation"), [(n, q, value)])
+    _threshold("max violation", value, tol)
 
 
 _ROOT_MAX = math.isqrt(2**63 - 1)  # the largest r with r^2 in int64
@@ -336,55 +295,38 @@ def _index_set(text):
 
 
 @main.command("density")
-@click.option("--set", "set_name", required=True, help="squares | primes | multiples:m")
+@click.option("--set", required=True, help="squares | primes | multiples:m")
 @click.option("--gamma", default=1.0, show_default=True)
-@click.option("--n", "n_text", default="10000", show_default=True, help="n or comma list")
+@click.option("--n", default="10000", show_default=True, help="n or comma list")
 @_common
-def cmd_density(set_name, gamma, n_text, out, fmt):
+def cmd_density(set, gamma, n, out, fmt):
     """Empirical alpha-beta density of a builtin index set (alpha=1, beta=n)."""
-    meta = {"command": "density", "set": set_name, "gamma": gamma, "n": n_text}
-
-    def compute():
-        query = statconv.DensityQuery(gamma=gamma, members=_index_set(set_name))
+    with _run():
+        query = statconv.DensityQuery(gamma=gamma, members=_index_set(set))
         rows = []
-        for n in _parse_int_list(n_text):
-            win = statconv.window(query.pair, n)
-            rows.append((n, win.start, win.stop - 1, gamma, statconv.empirical_density(query, n)))
-        return rows
-
-    rows = _run(compute)
-    _write(out, fmt, ("n", "window_lo", "window_hi", "gamma", "value"), rows, meta)
+        for m in _parse_int_list(n):
+            win = statconv.window(query.pair, m)
+            rows.append((m, win.start, win.stop - 1, gamma, statconv.empirical_density(query, m)))
+    _report(("n", "window_lo", "window_hi", "gamma", "value"), rows)
 
 
 @main.command("korovkin")
 @click.option("--a", type=float, required=True, help="target of q_n^n, in (0,1)")
 @click.option("--n-list", default="50,100,200,400,800", show_default=True)
-@click.option("--varpi", default=0.0, show_default=True)
-@click.option("--vartheta", default=0.0, show_default=True)
-@click.option("--grid", "grid_points", type=int, default=101, show_default=True)
+@_stancu
+@_grid(101)
 @click.option("--gamma", default=1.0, show_default=True)
 @click.option("--eps-list", default="", help="comma list of density thresholds")
 @_common
-def cmd_korovkin(a, n_list, varpi, vartheta, grid_points, gamma, eps_list, out, fmt):
+def cmd_korovkin(a, n_list, varpi, vartheta, grid, gamma, eps_list, out, fmt):
     """Monomial sup-errors of D_{n,q_n} plus density trajectories."""
-    meta = {
-        "command": "korovkin", "a": a, "n_list": n_list, "varpi": varpi,
-        "vartheta": vartheta, "grid": grid_points, "gamma": gamma, "eps_list": eps_list,
-    }
-
-    def compute():
+    with _run():
         report = statconv.korovkin_harness(
-            a,
-            durrmeyer.StancuParams(varpi, vartheta),
-            _parse_int_list(n_list),
-            analysis.GridSpec(grid_points).xs,
-            query=statconv.DensityQuery(gamma=gamma),
+            a, durrmeyer.StancuParams(varpi, vartheta), _parse_int_list(n_list),
+            analysis.GridSpec(grid).xs, query=statconv.DensityQuery(gamma=gamma),
             eps_list=_parse_float_list(eps_list) if eps_list else [],
         )
-        return report.columns(), report.rows()
-
-    columns, rows = _run(compute)
-    _write(out, fmt, columns, rows, meta)
+    _report(report.columns(), report.rows())
 
 
 if __name__ == "__main__":

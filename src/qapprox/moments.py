@@ -20,7 +20,7 @@ import numpy as np
 
 from . import durrmeyer
 from .qcore import as_q, q_integer
-from .reporting import write_csv, write_json
+from .reporting import write_csv
 
 
 def finite_moment(spec, j, x):
@@ -172,9 +172,11 @@ class MomentReport:
         dev, closed = self._devs()
         return float(np.max(dev / np.maximum(np.abs(closed), 1.0), initial=0.0))
 
-    _columns = ("n", "q", "varpi", "vartheta", "x", "j", "closed", "series", "abs_dev")
+    def columns(self):
+        return ("n", "q", "varpi", "vartheta", "x", "j", "closed", "series", "abs_dev")
 
-    def _table(self):
+    def table(self):
+        """One row per point, in the order of columns(); the limit degree is "inf"."""
         table = []
         for spec, j, xs, closed, series in self.blocks:
             head = ("inf" if spec.n is None else spec.n, float(spec.q), spec.stancu.varpi,
@@ -185,10 +187,7 @@ class MomentReport:
         return table
 
     def to_csv(self, stream, meta=None):
-        write_csv(stream, self._columns, self._table(), meta=meta)
-
-    def to_json(self, stream, meta=None):
-        write_json(stream, self._columns, self._table(), meta=meta)
+        write_csv(stream, self.columns(), self.table(), meta=meta)
 
 
 MONOMIALS = {0: lambda t: 1.0, 1: lambda t: t, 2: lambda t: t * t}

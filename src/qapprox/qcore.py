@@ -74,34 +74,6 @@ def q_integer(n, q):
     return math.expm1(n * lnq) / math.expm1(lnq)
 
 
-def q_factorial(n, q):
-    """[n]_q! = prod_{j=1}^{n} [j]_q, empty product for n = 0."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    qv = as_q(q)
-    out = 1.0
-    for j in range(1, n + 1):
-        out *= q_integer(j, qv)
-    if not math.isfinite(out):
-        raise NumericError(f"q_factorial({n}) overflowed")
-    return out
-
-
-def q_binomial(n, k, q):
-    """Gaussian binomial coefficient C(n,k)_q, entry k of q_binomial_row.
-
-    Returns 0 for k < 0 or k > n.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if k < 0 or k > n:
-        return 0.0
-    qv = as_q(q)
-    if qv == 1.0:
-        return float(math.comb(n, k))
-    return q_binomial_row(n, qv)[k]
-
-
 def q_binomial_row(n, q):
     """All Gaussian binomials C(n,k)_q for k = 0..n (read-only, cached)."""
     return _q_binomial_row_cached(n, as_q(q))

@@ -82,13 +82,16 @@ ONES = WeightSequence(s=lambda k: 1.0)
 
 
 def window(pair, n):
-    """Integers in [alpha(n), beta(n)] as a range; empty windows are errors."""
+    """Integers in [alpha(n), beta(n)] as a range.  An empty window is an
+    error, as is one whose ends lo and hi + 1 do not fit in int64."""
     if n < 1:
         raise ValueError("n must be at least 1")
     lo = math.ceil(pair.alpha(n))
     hi = math.floor(pair.beta(n))
     if hi < lo:
         raise ValueError(f"empty window at n={n}: [{pair.alpha(n)}, {pair.beta(n)}]")
+    if lo < -(2**63) or hi + 1 > 2**63 - 1:  # the scans index the ends in int64
+        raise ValueError(f"window [{lo}, {hi}] at n={n} exceeds the int64 index range")
     return range(lo, hi + 1)
 
 

@@ -22,16 +22,44 @@ from qapprox.funcreg import builtin
 from qapprox.moments import MONOMIALS, MomentReport, finite_moment
 from qapprox.qcore import (
     DEFAULT_POLICY,
+    NumericError,
     SeriesLimitError,
     as_q,
     jackson_integral,
     log_q_pochhammer_inf,
-    q_binomial,
     q_binomial_row,
     q_integer,
 )
 from qapprox.reporting import format_value, meta_lines
 from qapprox.statconv import window
+
+
+def q_factorial(n, q):
+    """[n]_q! = prod_{j=1}^{n} [j]_q, empty product for n = 0."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    qv = as_q(q)
+    out = 1.0
+    for j in range(1, n + 1):
+        out *= q_integer(j, qv)
+    if not math.isfinite(out):
+        raise NumericError(f"q_factorial({n}) overflowed")
+    return out
+
+
+def q_binomial(n, k, q):
+    """Gaussian binomial coefficient C(n,k)_q, entry k of q_binomial_row.
+
+    Returns 0 for k < 0 or k > n.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if k < 0 or k > n:
+        return 0.0
+    qv = as_q(q)
+    if qv == 1.0:
+        return float(math.comb(n, k))
+    return q_binomial_row(n, qv)[k]
 
 
 def direct_basis(n, k, q, x):

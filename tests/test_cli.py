@@ -2,12 +2,13 @@ import json
 import math
 import time
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qapprox import durrmeyer, moments
-from qapprox.cli import _index_set, main
+from qapprox import __version__, durrmeyer, moments
+from qapprox.cli import _index_set, _parse_int_list, main
 from qapprox.durrmeyer import OperatorSpec, StancuParams
 from qapprox.moments import finite_moment, limit_moment
 
@@ -47,14 +48,50 @@ def test_eval_limit_constant(runner):
     assert all(float(v) == pytest.approx(1.0, abs=1e-10) for _, v in rows)
 
 
-def test_eval_metadata_header(runner):
-    result = runner.invoke(
-        main, ["eval", "--n", "2", "--q", "0.5", "--f", "t", "--grid", "2"]
-    )
-    lines = result.output.splitlines()
-    assert lines[0].startswith("# qapprox ")
-    assert any(l.startswith("# config: command=eval") for l in lines)
-    assert any(l.startswith("# config: q=0.5") for l in lines)
+# one invocation per command and the config lines of its report, in order
+HEADERS = [
+    (["eval", "--n", "2", "--q", "0.5", "--f", "t", "--grid", "2"],
+     "command=eval f=t grid=2 max_terms=1000000 n=2 q=0.5 rel_eps=1e-14 varpi=0.0 vartheta=0.0"),
+    (["eval", "--limit", "--q", "0.5", "--f", "t", "--grid", "2"],
+     "command=eval f=t grid=2 max_terms=1000000 n=inf q=0.5 rel_eps=1e-14 varpi=0.0 vartheta=0.0"),
+    (["moments-verify"], "command=moments-verify tol=1e-09"),
+    (["rate", "--f", "t", "--q", "0.5", "--n-list", "1,2", "--grid", "3"],
+     "command=rate f=t grid=3 max_terms=1000000 n_list=1,2 q=0.5 rel_eps=1e-14 varpi=0.0 vartheta=0.0"),
+    (["q1", "--f", "id", "--q-list", "0.5", "--grid", "3"],
+     "command=q1 f=id grid=3 max_terms=1000000 q_list=0.5 rel_eps=1e-14 varpi=0.0 vartheta=0.0"),
+    (["fixed", "--f", "const:1", "--q", "0.5", "--grid", "3"],
+     "command=fixed f=const:1 grid=3 max_terms=1000000 q=0.5 rel_eps=1e-14 varpi=0.0 vartheta=0.0"),
+    (["ineq", "--n", "2", "--q", "0.5", "--grid", "3"],
+     "command=ineq grid=3 max_terms=1000000 n=2 q=0.5 rel_eps=1e-14 tol=1e-12"),
+    (["density", "--set", "squares", "--n", "1..3"], "command=density gamma=1.0 n=1..3 set=squares"),
+    (["korovkin", "--a", "0.5", "--n-list", "2,3", "--grid", "3"],
+     "a=0.5 command=korovkin eps_list= gamma=1.0 grid=3 n_list=2,3 varpi=0.0 vartheta=0.0"),
+]
+
+
+def test_the_header_cases_cover_every_command():
+    assert {args[0] for args, _ in HEADERS} == set(main.commands)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("args, config", HEADERS,
+                         ids=[args[0] + " --limit" * ("--limit" in args) for args, _ in HEADERS])
+def test_metadata_header_lists_every_option(runner, args, config, fmt):
+    # the config keys are the command and each option but --out/--format, as
+    # parsed; eval --limit is written as n=inf
+    result = runner.invoke(main, args + ["--format", fmt])
+    assert result.exit_code == 0
+    lines = config.split(" ")
+    keys = {"command"} | {p.name for p in main.commands[args[0]].params} - {"out", "fmt", "use_limit"}
+    assert [line.partition("=")[0] for line in lines] == sorted(keys)
+    if fmt == "csv":
+        header = f"# qapprox {__version__}\n" + "".join(f"# config: {line}\n" for line in lines)
+        assert result.output.startswith(header)
+        assert not result.output[len(header):].startswith("#")
+    else:
+        payload = json.loads(result.output)
+        assert payload["tool"] == f"qapprox {__version__}"
+        assert [f"{key}={value}" for key, value in payload["config"].items()] == lines
 
 
 def test_eval_config_errors(runner):
@@ -275,6 +312,33 @@ def test_empty_lists_are_usage_errors(runner, args):
     result = runner.invoke(main, args + ["--grid", "11"])
     assert result.exit_code == 2
     assert "is empty" in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["rate", "--f", "t", "--q", "0.9", "--n-list", "1..300000000"],
+        ["korovkin", "--a", "0.5", "--n-list", "1..300000000"],
+        ["density", "--set", "squares", "--n", "1..3000000000"],
+        ["density", "--set", "multiples:1", "--n", str(2**63 - 1)],
+        ["density", "--set", "multiples:1", "--n", str(2**63)],
+    ],
+)
+def test_oversized_ranges_and_windows_exit_2_at_once(runner, args):
+    # a range is checked against the cap before its list is built, and a
+    # window must fit the int64 indices of the scan
+    start = time.perf_counter()
+    result = runner.invoke(main, args)
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert "has more than 1000000 values" in result.output or "int64 index range" in result.output
+
+
+def test_a_range_holds_at_most_max_terms_values():
+    assert _parse_int_list("1..1000000") == list(range(1, 1000001))
+    with pytest.raises(click.UsageError, match="has more than 1000000 values"):
+        _parse_int_list("1..1000001")
 
 
 @pytest.mark.parametrize(

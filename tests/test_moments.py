@@ -18,6 +18,7 @@ from qapprox.moments import (
     limit_moment,
     verify_moments,
 )
+from qapprox.reporting import write_json
 
 XS = [round(0.1 * i, 1) for i in range(11)]
 FINITE_SPECS = [
@@ -150,7 +151,7 @@ def test_report_table_and_deviations_match_its_rows():
     specs = [OperatorSpec(3, 1.0), OperatorSpec(5, 0.8, StancuParams(1.0, 2.0)), OperatorSpec(INFINITE, 0.5)]
     report = verify_moments(specs, [0.0, 0.25, 0.5, 1.0])
     rows = report.rows
-    assert report._table() == [
+    assert report.table() == [
         ("inf" if r.n is None else r.n, r.q, r.varpi, r.vartheta, r.x, r.j, r.closed, r.series, r.abs_dev)
         for r in rows
     ]
@@ -166,7 +167,7 @@ def test_report_serialization():
     assert text.startswith("# qapprox")
     assert "n,q,varpi,vartheta,x,j,closed,series,abs_dev" in text
     json_out = io.StringIO()
-    report.to_json(json_out)
+    write_json(json_out, report.columns(), report.table())
     assert '"closed"' in json_out.getvalue()
 
 

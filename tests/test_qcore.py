@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from oracles import q_binomial, q_factorial
 
 from qapprox.qcore import (
     as_q,
@@ -13,9 +14,7 @@ from qapprox.qcore import (
     _q_binomial_row_cached,
     jackson_integral,
     log_q_pochhammer_inf,
-    q_binomial,
     q_binomial_row,
-    q_factorial,
     q_integer,
 )
 

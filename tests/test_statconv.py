@@ -45,6 +45,16 @@ def test_window_examples():
         window(AlphaBetaPair(lambda n: 10.6, lambda n: 10.4), 1)
 
 
+def test_a_window_must_fit_int64_indices():
+    top = 2**63 - 1
+    assert window(CLASSICAL_PAIR, top - 1) == range(1, top)  # its end top still fits
+    for n in (top, top + 1):
+        with pytest.raises(ValueError, match="int64 index range"):
+            window(CLASSICAL_PAIR, n)
+    with pytest.raises(ValueError, match="int64 index range"):
+        window(AlphaBetaPair(lambda n: -(2**63) - 1, lambda n: 0), 1)
+
+
 def test_pair_validation():
     CLASSICAL_PAIR.validate_on(range(1, 50))
     with pytest.raises(ValueError):
